@@ -3,20 +3,22 @@
 
 Reads the committed ``BENCH_results.json``, re-runs the benchmark
 harness in ``--quick`` mode on this machine, and fails when the
-``serve_batch_columnar`` entry regresses against the committed floor:
+``serve_batch_columnar`` entry regresses against the committed floor.
+That entry times the service's block path against the scalar guard
+ladder (``GuardedSelector.explain`` on each quantized key):
 
 * ``identical_to_scalar`` must be ``true`` both in the committed file
   and in the fresh quick run — decision identity is machine-independent
   and holds at any batch size, so any ``false`` is a real bug, never
   noise.
-* The committed speedup must itself clear ``--min-speedup`` (the
-  acceptance floor of the columnar pipeline), so a regressed results
-  file cannot be committed quietly.
+* The committed ``speedup_vs_scalar`` must itself clear
+  ``--min-speedup`` (the acceptance floor of the block path), so a
+  regressed results file cannot be committed quietly.
 * The quick run's speedup must clear ``derate * committed_speedup``.
   CI boxes are slower and noisier than the machine that produced the
   committed figure, and quick mode times a smaller batch, so the gate
   derates the floor rather than demanding the committed number; the
-  default still fails hard when the columnar path silently degrades to
+  defaults still fail hard when the block path silently degrades to
   scalar-equivalent cost (speedup ~1).
 
 The ``flight_recorder_overhead`` entry is gated the same way: the
@@ -86,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--results", default="BENCH_results.json",
                         help="committed results file (default: %(default)s)")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
+    parser.add_argument("--min-speedup", type=float, default=50.0,
                         help="floor the committed speedup must clear "
                              "(default: %(default)s)")
     parser.add_argument("--derate", type=float, default=0.33,
@@ -124,11 +126,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"committed identical_to_scalar is "
             f"{ccfg.get('identical_to_scalar')!r}, expected True")
-    committed_speedup = ccfg.get("speedup_vs_serve_batch")
+    committed_speedup = ccfg.get("speedup_vs_scalar")
     if not isinstance(committed_speedup, (int, float)) \
             or committed_speedup < args.min_speedup:
         failures.append(
-            f"committed speedup_vs_serve_batch {committed_speedup!r} "
+            f"committed speedup_vs_scalar {committed_speedup!r} "
             f"is below the {args.min_speedup:g}x acceptance floor")
     rcfg = _entry_config(committed, args.results, RECORDER_ENTRY)
     committed_overhead = rcfg.get("overhead_frac")
@@ -157,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     print("bench-check: running quick benchmark ...")
     fresh = run_benchmarks(quick=True, jobs=args.jobs, progress=True)
     fcfg = _entry_config(fresh, "the quick bench run")
-    fresh_speedup = fcfg["speedup_vs_serve_batch"]
+    fresh_speedup = fcfg["speedup_vs_scalar"]
     floor = args.derate * committed_speedup
     print(f"bench-check: quick run: {fresh_speedup:.2f}x "
           f"(floor {floor:.2f}x), identical_to_scalar="

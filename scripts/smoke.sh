@@ -14,7 +14,8 @@
 #   -> chaos  (seeded guard-layer soak: 10k adversarial queries, no
 #              unguarded exceptions, breaker must cycle)
 #   -> select-batch (JSONL queries through the batched service:
-#              quantized memoization, invalid queries answered inline)
+#              quantized memoization, invalid queries answered inline,
+#              a bool or float twin of a cached query still invalid)
 #   -> serve  (persistent daemon: boot from the bundle, socket
 #              queries, hot-reload, counter partition, graceful drain;
 #              the full lifecycle soak is scripts/daemon_smoke.sh)
@@ -108,12 +109,12 @@ from repro.core.bench import validate_bench_file
 results = validate_bench_file(sys.argv[1])
 required = {"forest_fit_serial", "forest_fit_parallel",
             "forest_predict_batch", "table_generation", "table_lookup",
-            "serve_batch", "active_collect"}
+            "serve_batch_columnar", "active_collect"}
 missing = required - set(results)
 assert not missing, f"bench results missing {sorted(missing)}"
 assert results["forest_fit_parallel"]["config"][
     "bit_identical_to_serial"], "parallel fit diverged from serial"
-assert results["serve_batch"]["config"][
+assert results["serve_batch_columnar"]["config"][
     "identical_to_scalar"], "batched serving diverged from scalar guard"
 active = results["active_collect"]["config"]
 assert active["core_hours_ratio"] <= 0.5, \
@@ -140,24 +141,28 @@ cat > "$workdir/queries.jsonl" <<'JSONL'
 {"collective":"allgather","nodes":2,"ppn":4,"msg_size":1024}
 {"collective":"alltoall","nodes":1,"ppn":8,"msg_size":65536}
 {"collective":"nope","nodes":2,"ppn":4,"msg_size":64}
+{"collective":"alltoall","nodes":true,"ppn":8,"msg_size":65536}
+{"collective":"allgather","nodes":2,"ppn":4,"msg_size":1024.0}
 JSONL
 pml select-batch RI --bundle "$workdir/bundle.json" \
     --input "$workdir/queries.jsonl" --output "$workdir/decisions.jsonl" \
     | tee "$workdir/select_batch.out"
-grep -q "answered 4 queries" "$workdir/select_batch.out"
+grep -q "answered 6 queries" "$workdir/select_batch.out"
 python - "$workdir/decisions.jsonl" <<'EOF'
 import json
 import sys
 
 lines = open(sys.argv[1]).read().splitlines()
-assert len(lines) == 4, f"expected 4 decisions, got {len(lines)}"
+assert len(lines) == 6, f"expected 6 decisions, got {len(lines)}"
 records = [json.loads(line) for line in lines]
 # 1000 and 1024 share one quantized memo entry; the second is cached.
 assert records[1]["cached"] is True
 assert records[0]["algorithm"] == records[1]["algorithm"]
-# The malformed query is answered, not dropped, and names no algorithm.
-assert records[3]["action"] == "invalid"
-assert records[3]["algorithm"] is None
+# Malformed queries are answered, not dropped, and name no algorithm —
+# including a bool or float twin of an integer query served above.
+for r in records[3:]:
+    assert r["action"] == "invalid", r
+    assert r["algorithm"] is None, r
 assert all(r["algorithm"] for r in records[:3])
 print("select-batch OK")
 EOF

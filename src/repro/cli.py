@@ -16,9 +16,10 @@ build system:
     table (or reuse an existing one).
 ``pml-mpi select``
     One-off query: which algorithm for this collective/job/size?
+    Answered by the same guarded service as ``select-batch``.
 ``pml-mpi select-batch``
     Batched queries: read one JSONL query per line, answer all of
-    them through the guard ladder's vectorized batch path (with
+    them through the guard ladder's vectorized block path (with
     LRU memoization + power-of-two size quantization), write one
     JSONL decision per line.
 ``pml-mpi serve``
@@ -86,7 +87,6 @@ from .hwmodel.registry import CLUSTER_NAMES, all_clusters, get_cluster
 from .obs.telemetry import MetricsRegistry, Tracer, use_telemetry
 from .obs.trace_io import export_trace
 from .simcluster.conditions import FaultProfile
-from .simcluster.machine import Machine
 from .smpi.collectives.base import ALL_COLLECTIVES, COLLECTIVES
 from .smpi.heuristics import (
     MvapichDefaultSelector,
@@ -335,7 +335,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_ms=args.deadline_ms,
         max_batch=args.max_batch,
         cache_size=args.cache_size,
-        quantize=not args.no_quantize,
         reload_poll_s=args.reload_poll_s,
         drain_timeout_s=args.drain_timeout_s,
         ready_file=args.ready_file,
@@ -389,10 +388,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    selector = load_selector(args.bundle)
-    machine = Machine(get_cluster(args.cluster), args.nodes, args.ppn)
-    algo = selector.select(args.collective, machine, args.msg_size)
-    print(algo)
+    from .obs.telemetry import get_registry
+    from .serve import ACTION_INVALID, SelectionQuery, SelectionService
+
+    service = SelectionService(
+        load_selector(args.bundle), get_cluster(args.cluster),
+        registry=get_registry())
+    decision = service.select(SelectionQuery(
+        args.collective, args.nodes, args.ppn, args.msg_size))
+    if decision.action == ACTION_INVALID:
+        print(f"invalid query: {decision.detail}", file=sys.stderr)
+        return 2
+    print(decision.algorithm)
     return 0
 
 
@@ -400,11 +407,11 @@ def cmd_select_batch(args: argparse.Namespace) -> int:
     from .core.resilience import atomic_write_text
     from .obs.telemetry import get_registry
     from .serve import (
+        ACTION_INVALID,
         SelectionService,
         decisions_to_jsonl,
         queries_from_jsonl,
     )
-    from .smpi.guard import GuardedSelector
 
     try:
         text = args.input.read_text()
@@ -416,19 +423,20 @@ def cmd_select_batch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid query file {args.input}: {exc}", file=sys.stderr)
         return 2
-    selector = GuardedSelector(load_selector(args.bundle))
     service = SelectionService(
-        selector, get_cluster(args.cluster),
-        cache_size=args.cache_size, quantize=not args.no_quantize,
-        registry=get_registry())
-    decisions = service.select_block(queries).to_decisions()
+        load_selector(args.bundle), get_cluster(args.cluster),
+        cache_size=args.cache_size, registry=get_registry())
+    decisions = service.select_batch(queries)
     payload = decisions_to_jsonl(decisions)
     if args.output is not None:
         atomic_write_text(args.output, payload)
-        counts = service.counters
-        print(f"answered {counts['queries']} queries "
-              f"({counts['cache_misses']} distinct, "
-              f"{counts['invalid']} invalid) -> {args.output}")
+        # From the decisions, not the counters: the ambient registry
+        # accumulates across commands run in one process.
+        computed = sum(not d.cached for d in decisions)
+        invalid = sum(d.action == ACTION_INVALID for d in decisions)
+        print(f"answered {len(decisions)} queries "
+              f"({computed} distinct, {invalid} invalid) "
+              f"-> {args.output}")
     else:
         sys.stdout.write(payload)
     return 0
@@ -683,9 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=4096, metavar="N",
                    help="LRU memo capacity in distinct keys "
                         "(default 4096)")
-    p.add_argument("--no-quantize", action="store_true",
-                   help="memoize exact message sizes instead of "
-                        "snapping to the nearest power of two")
     p.add_argument("--reload-poll-s", type=float, default=2.0,
                    metavar="S",
                    help="bundle checksum poll interval (default 2)")
@@ -819,9 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=4096, metavar="N",
                    help="LRU memo capacity in distinct keys "
                         "(default 4096)")
-    p.add_argument("--no-quantize", action="store_true",
-                   help="memoize exact message sizes instead of "
-                        "snapping to the nearest power of two")
     p.set_defaults(func=cmd_select_batch)
 
     p = sub.add_parser("sweep", parents=[common],

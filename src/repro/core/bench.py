@@ -2,8 +2,8 @@
 
 Times the operations that dominate PML-MPI's end-to-end cost —
 ensemble training, batch inference, compile-time tuning-table
-generation, runtime table lookup, and batched selection serving (both
-the scalar-ladder batch and the columnar block pipeline) — plus the
+generation, runtime table lookup, and batched selection serving (the
+columnar block pipeline against the scalar guard ladder) — plus the
 ``active_collect`` entry, which records the simulated core-hours the
 active-learning acquisition loop needs to match the exhaustive
 sweep's accuracy — and writes a machine-readable
@@ -249,15 +249,18 @@ def _lookup_benchmark(lookups: int, repeats: int) -> dict[str, dict]:
 
 def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
                                scalar_queries: int) -> dict[str, dict]:
-    """Single-query guard loop vs one cold service batch over the same
+    """One cold service block vs the scalar guard ladder over the same
     query stream — the serving layer's headline number.
 
-    The scalar side is timed on a prefix of *scalar_queries* queries
-    (a full 10k scalar pass would dominate the harness wall time) and
-    compared per-query; ``identical_to_scalar`` verifies the batch
-    decisions match the scalar ladder on that prefix.
+    The scalar side runs :meth:`~repro.smpi.guard.GuardedSelector.
+    explain` (the oracle the block path answers for) on each query's
+    quantized key, over a prefix of *scalar_queries* queries (a full
+    10k scalar pass would dominate the harness wall time), and is
+    compared per query; ``identical_to_scalar`` checks (algorithm,
+    action, detail) of the block against the scalar ladder on that
+    prefix.
     """
-    from ..serve import SelectionQuery, SelectionService
+    from ..serve import SelectionQuery, SelectionService, quantize_msg_size
     from ..simcluster.machine import Machine
     from ..smpi.guard import GuardedSelector
 
@@ -277,48 +280,30 @@ def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
             machines[(nodes, ppn)] = Machine(spec, nodes, ppn)
     prefix = queries[:scalar_queries]
 
-    def scalar() -> list[str]:
+    def scalar():
         guard = GuardedSelector(selector)
-        return [guard.select(q.collective,
-                             machines[(q.nodes, q.ppn)], q.msg_size)
+        return [guard.explain(q.collective, machines[(q.nodes, q.ppn)],
+                              quantize_msg_size(q.msg_size))
                 for q in prefix]
 
-    def batch():
+    def columnar():
         # Cold service each repeat: the memo never carries over, so
         # the number reflects dedup + vectorized inference, not a
-        # pre-warmed cache.  quantize=False keeps decisions
-        # query-exact for the identity check below.
+        # pre-warmed cache.
         service = SelectionService(GuardedSelector(selector), spec,
-                                   cache_size=len(queries),
-                                   quantize=False)
-        return service.select_batch(queries)
+                                   cache_size=len(queries))
+        return service.select_block(queries)
 
-    def columnar():
-        # Same cold-service discipline as ``batch`` so the two numbers
-        # are directly comparable; the block path never builds a
-        # per-row Python object between validation and scatter.
-        service = SelectionService(GuardedSelector(selector), spec,
-                                   cache_size=len(queries),
-                                   quantize=False)
-        return service.select_block(queries).to_decisions()
-
-    scalar_s = _best_of(scalar, repeats)
-    # The headline claim is the batch->columnar *ratio*, so those two
-    # closures are timed interleaved (see _best_of_paired) rather than
-    # in separate phases.
-    batch_s, columnar_s = _best_of_paired([batch, columnar],
-                                          max(repeats, 5))
-    identical = ([d.algorithm for d in batch()[:len(prefix)]]
-                 == scalar())
-    columnar_identical = bool(identical and [
-        (d.algorithm, d.action, d.detail, d.cached)
-        for d in columnar()
-    ] == [
-        (d.algorithm, d.action, d.detail, d.cached)
-        for d in batch()
-    ])
+    # The gated claim is the scalar->columnar *ratio*, so the two
+    # closures are timed interleaved (see _best_of_paired).
+    scalar_s, columnar_s = _best_of_paired([scalar, columnar],
+                                           max(repeats, 5))
+    block = columnar()
+    identical = [(d.algorithm, d.action, d.detail) for d in scalar()] \
+        == list(zip(block.algorithms[:len(prefix)].tolist(),
+                    block.actions[:len(prefix)].tolist(),
+                    block.details[:len(prefix)].tolist()))
     scalar_per_query = scalar_s / len(prefix)
-    batch_per_query = batch_s / len(queries)
     columnar_per_query = columnar_s / len(queries)
     return {
         "serve_batch_columnar": {
@@ -327,34 +312,15 @@ def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
                 "cluster": spec.name,
                 "collective": BENCH_COLLECTIVE,
                 "n_queries": len(queries),
-                "serve_batch_wall_s": batch_s,
-                # Identity is checked two ways: columnar decisions are
-                # tuple-equal to the scalar-ladder batch on all rows,
-                # and that batch matches the raw guard loop on the
-                # scalar prefix.
-                "identical_to_scalar": columnar_identical,
-                "speedup_vs_serve_batch":
-                    batch_per_query / columnar_per_query
-                    if columnar_per_query > 0 else float("inf"),
-                "speedup_vs_scalar":
-                    scalar_per_query / columnar_per_query
-                    if columnar_per_query > 0 else float("inf"),
-            },
-        },
-        "serve_batch": {
-            "wall_s": batch_s,
-            "config": {
-                "cluster": spec.name,
-                "collective": BENCH_COLLECTIVE,
-                "n_queries": len(queries),
-                "distinct_keys": len({(q.nodes, q.ppn, q.msg_size)
-                                      for q in queries}),
+                "distinct_keys": len({
+                    (q.nodes, q.ppn, quantize_msg_size(q.msg_size))
+                    for q in queries}),
                 "scalar_queries": len(prefix),
                 "scalar_wall_s": scalar_s,
                 "identical_to_scalar": bool(identical),
-                "speedup_batch_vs_scalar":
-                    scalar_per_query / batch_per_query
-                    if batch_per_query > 0 else float("inf"),
+                "speedup_vs_scalar":
+                    scalar_per_query / columnar_per_query
+                    if columnar_per_query > 0 else float("inf"),
             },
         },
     }
@@ -393,8 +359,7 @@ def _flight_recorder_benchmark(selector, repeats: int, n_queries: int,
         # Cold service per repeat, warm across blocks — the daemon's
         # shape: one long-lived service, many small batches.
         service = SelectionService(GuardedSelector(selector), spec,
-                                   cache_size=len(queries),
-                                   quantize=False)
+                                   cache_size=len(queries))
         for chunk in blocks:
             service.select_block(chunk)
 

@@ -51,43 +51,15 @@ class PretrainedSelector(AlgorithmSelector):
                            msg_size)[None, :]
         return str(model.predict(X)[0])
 
-    def select_batch(self, queries: list[tuple[str, Machine, int]]
-                     ) -> list[str]:
-        """Vectorized batch selection: one ``predict_batch`` call per
-        distinct collective instead of one model inference per query.
-
-        Element-wise identical to the scalar loop — same validation
-        (first invalid query raises), same per-row feature vectors,
-        same packed-tree predictions.
-        """
-        for collective, machine, msg_size in queries:
-            validate_query(collective, machine, msg_size)
-            if collective not in self.models:
-                raise KeyError(
-                    f"no pre-trained model for {collective}; have "
-                    f"{', '.join(self.models)}")
-        out: list[str | None] = [None] * len(queries)
-        by_collective: dict[str, list[int]] = {}
-        for i, (collective, _, _) in enumerate(queries):
-            by_collective.setdefault(collective, []).append(i)
-        for collective, idx in by_collective.items():
-            rows = [(queries[i][1].spec, queries[i][1].nodes,
-                     queries[i][1].ppn, queries[i][2]) for i in idx]
-            predictions = self.models[collective].predict_batch(
-                feature_matrix(rows))
-            for i, algo in zip(idx, predictions):
-                out[i] = str(algo)
-        return out  # type: ignore[return-value]
-
     def select_block(self, spec: ClusterSpec, collectives: np.ndarray,
                      nodes: np.ndarray, ppn: np.ndarray,
                      msg_size: np.ndarray) -> np.ndarray:
         """Columnar selection over prevalidated rows for one cluster:
         one :func:`feature_block` build and one ``predict_batch`` per
         distinct collective, no per-row Python work.  Predictions are
-        identical to :meth:`select_batch` (same float64 feature values,
-        same packed-tree traversal); like it, raises ``KeyError`` when
-        any row's collective has no model."""
+        identical to :meth:`select` per row (same float64 feature
+        values, same trees); like it, raises ``KeyError`` when any
+        row's collective has no model."""
         out = np.empty(len(msg_size), dtype=object)
         for collective in dict.fromkeys(collectives.tolist()):
             if collective not in self.models:

@@ -1,9 +1,10 @@
 """Batched selection serving layer.
 
 :class:`SelectionService` answers batches of (collective, job shape,
-message size) queries for one cluster: quantized + LRU-memoized keys,
-one vectorized guard-ladder pass for the distinct misses, JSONL in/out
-for the ``pml-mpi select-batch`` subcommand.  See
+message size) queries for one cluster on one path: invalid rows
+answered inline, quantized + LRU-memoized keys, one vectorized
+guard-ladder pass for the distinct misses, JSONL in/out for the
+``pml-mpi select`` and ``select-batch`` subcommands.  See
 :mod:`repro.serve.service` for the full flow.
 
 On top of it, :mod:`repro.serve.daemon` is the persistent ``pml-mpi

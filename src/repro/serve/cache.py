@@ -69,12 +69,11 @@ class LRUCache:
 
         Returns one value (or ``None``) per key.  A hit counts
         ``counts[i]`` hits (a batch answering several duplicates from
-        one entry counts each of them, matching the scalar per-query
-        ``get`` accounting); a miss always counts once, because the
-        scalar path consults the memo only for the *first* occurrence
-        of a missing key.  Recency is marked once per distinct hit key,
-        in the order given — the one observable divergence from
-        per-query ``get`` calls (see the service docs).
+        one entry counts each of them); a miss always counts once,
+        because the batch computes a missing key once and its
+        duplicates count as deduplicated, not as misses.  Recency is
+        marked once per distinct hit key, in the order given, so
+        duplicate traffic does not inflate recency.
         """
         with self._lock:
             out = list(map(self._data.get, keys, repeat(_MISSING)))

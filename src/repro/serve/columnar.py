@@ -1,32 +1,18 @@
-"""Columnar query ingestion for the batched selection service.
+"""Columnar query ingestion for the selection service.
 
-The scalar serving path walks every query through Python-object
-validate -> featurize -> predict -> remap; per-query overhead is
-interpreter-bound.  This module is the zero-copy front end of the
-columnar rewrite (DESIGN.md §13): a batch of queries becomes a
-:class:`QueryBlock` — four original-value columns plus int64 shadow
-arrays, per-row type flags, and a collective-id column — which the
-service validates, quantizes, deduplicates (a stable lexsort group-by
-over the four key columns) and scatters entirely with NumPy.
+A batch of queries becomes a :class:`QueryBlock` — four original-value
+columns plus int64 shadow arrays, a per-row ``columnar`` flag, and a
+collective-id column — which the service validates, quantizes,
+deduplicates (a stable lexsort group-by over the four key columns) and
+scatters entirely with NumPy (DESIGN.md §13).
 
-Two row classes fall off the bulk path by construction:
-
-* **object rows** — any row with a non-integer field or an unknown /
-  non-string collective.  Such rows are always *invalid* (the scalar
-  ladder rejects them), so the service replays exactly the scalar
-  classification per distinct key and the hot path stays
-  exception-free.
-* **overflow rows** — a positive integer ``msg_size`` too large for
-  int64 (or for int64 *after* quantization) is a *valid* query the
-  block cannot represent; the service answers the whole batch through
-  the scalar path instead (these are 2**62-byte messages — corner
-  correctness, not traffic).
-
-Bools are deliberately *int-like* here (with a ``boolish`` flag):
-``True == 1``, so a ``(c, True, 4, 64)`` key and a ``(c, 1, 4, 64)``
-key alias the same memo entry in the scalar path, and the block must
-dedup them identically — validity is then judged from the key's
-first-occurrence row, exactly as the scalar dict does.
+The query contract (:func:`~repro.smpi.heuristics.validate_query`)
+admits only non-bool integers for nodes, ppn and msg_size, with
+``msg_size <= 2**62``, so the int64 columns represent every valid
+query exactly.  A row whose collective is unknown or whose fields are
+not int64-sized non-bool integers (bools, floats, strings, huge ints)
+is not ``columnar``: it is invalid, and the service answers it without
+reading the shadow arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +28,6 @@ from ..smpi.collectives.base import ALL_COLLECTIVES
 __all__ = [
     "INT64_MAX",
     "INT64_MIN",
-    "QUANTIZE_MAX",
     "QueryBlock",
     "collective_names",
     "quantize_block",
@@ -50,10 +35,6 @@ __all__ = [
 
 INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
-
-#: Largest message size whose power-of-two quantization still fits in
-#: int64: anything above isqrt(2**125) rounds up to 2**63.
-QUANTIZE_MAX = math.isqrt(1 << 125)
 
 _COLLECTIVE_INDEX: dict[str, int] = {
     name: i for i, name in enumerate(ALL_COLLECTIVES)}
@@ -74,7 +55,7 @@ def collective_names(cids: np.ndarray) -> np.ndarray:
 
 def quantize_block(m: np.ndarray) -> np.ndarray:
     """Vectorized :func:`~repro.serve.service.quantize_msg_size` over
-    positive int64 values ``<= QUANTIZE_MAX``.
+    positive int64 values ``<= 2**62`` (every valid message size).
 
     The exponent estimate comes from the float64 conversion, then gets
     corrected with an exact int64 compare (conversion can round a value
@@ -88,60 +69,26 @@ def quantize_block(m: np.ndarray) -> np.ndarray:
     return np.int64(1) << e
 
 
-def _int_column(values: list) -> tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-    """``(int64 array, intlike, boolish, overflow)`` for one column.
-
-    ``intlike`` marks rows :func:`validate_query` would treat as
-    integers *plus* bools (see the module docstring); ``boolish`` marks
-    the bools; ``overflow`` marks int-like values outside int64 (the
-    array saturates so callers can still read the sign).  Non-int-like
-    rows keep 0 in the array and are never read from it.
-    """
+def _int_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(int64 array, ok)`` for one column: ``ok`` marks the rows
+    holding a non-bool integer (plain or NumPy) that fits int64.  Other
+    rows keep 0 in the array and are never read from it."""
     n = len(values)
-    # Hot path: an all-plain-int column (every well-formed batch).  The
-    # type scan is one C-level map + identity-compare count; only a
-    # column with bools, numpy ints, floats, or junk pays the per-row
-    # classification below.
-    types = list(map(type, values))
-    if types.count(int) == n:
+    # Hot path: an all-plain-int column (every well-formed batch) is
+    # one C-level type scan plus one conversion.
+    if list(map(type, values)).count(int) == n:
         try:
-            arr = np.asarray(values, dtype=np.int64)
+            return np.asarray(values, dtype=np.int64), np.ones(n, bool)
         except OverflowError:
-            pass  # some row is outside int64 — classify it below
-        else:
-            return (arr, np.ones(n, dtype=bool),
-                    np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    intlike = np.fromiter((t is int for t in types), np.bool_, n)
-    boolish = np.zeros(n, dtype=bool)
-    overflow = np.zeros(n, dtype=bool)
-    if not intlike.all():
-        for i in np.flatnonzero(~intlike):
-            v = values[i]
-            if isinstance(v, bool) or isinstance(v, np.bool_):
-                intlike[i] = True
-                boolish[i] = True
-            elif isinstance(v, (int, np.integer)):
-                intlike[i] = True
-    if intlike.all():
-        try:
-            arr = np.asarray(values, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            pass
-        else:
-            return arr, intlike, boolish, overflow
+            pass  # some row is outside int64 — classify per row below
     arr = np.zeros(n, dtype=np.int64)
-    for i in np.flatnonzero(intlike):
-        v = int(values[i])
-        if v > INT64_MAX:
-            arr[i] = INT64_MAX
-            overflow[i] = True
-        elif v < INT64_MIN:
-            arr[i] = INT64_MIN
-            overflow[i] = True
-        else:
+    ok = np.zeros(n, dtype=bool)
+    for i, v in enumerate(values):
+        if isinstance(v, (int, np.integer)) and not isinstance(v, bool) \
+                and INT64_MIN <= int(v) <= INT64_MAX:
             arr[i] = v
-    return arr, intlike, boolish, overflow
+            ok[i] = True
+    return arr, ok
 
 
 def _collective_ids(values: list) -> np.ndarray:
@@ -168,29 +115,23 @@ def _collective_ids(values: list) -> np.ndarray:
 class QueryBlock:
     """One batch of selection queries in columnar form.
 
-    ``cols`` holds the original per-field value columns (for key
-    construction on object rows and for echoing each row's own values
-    into its decision); the int64 shadow arrays carry the bulk path.
+    ``cols`` holds the original per-field value columns (echoed into
+    each row's decision, and read to explain invalid rows); the int64
+    shadow arrays carry the ``columnar`` rows.
     """
 
     __slots__ = ("n", "cols", "cids", "nodes64", "ppn64", "msg64",
-                 "boolish", "columnar", "needs_scalar")
+                 "columnar")
 
     def __init__(self, cols: tuple[list, list, list, list]) -> None:
         c_col, n_col, p_col, m_col = cols
         self.n = len(c_col)
         self.cols = cols
         self.cids = _collective_ids(c_col)
-        self.nodes64, n_ok, n_bool, n_of = _int_column(n_col)
-        self.ppn64, p_ok, p_bool, p_of = _int_column(p_col)
-        self.msg64, m_ok, m_bool, m_of = _int_column(m_col)
-        self.boolish = n_bool | p_bool | m_bool
-        fits = n_ok & ~n_of & p_ok & ~p_of & m_ok & ~m_of
-        self.columnar = fits & (self.cids >= 0)
-        # A positive over-int64 msg_size is a *valid* query the block
-        # cannot carry: the service answers the batch via the scalar
-        # path instead.
-        self.needs_scalar = bool((m_ok & m_of & (self.msg64 > 0)).any())
+        self.nodes64, n_ok = _int_column(n_col)
+        self.ppn64, p_ok = _int_column(p_col)
+        self.msg64, m_ok = _int_column(m_col)
+        self.columnar = n_ok & p_ok & m_ok & (self.cids >= 0)
 
     @classmethod
     def from_queries(cls, queries: Sequence[Any]) -> "QueryBlock":

@@ -125,7 +125,6 @@ class DaemonConfig:
     default_deadline_ms: float = 1_000.0
     max_batch: int = DEFAULT_MAX_BATCH
     cache_size: int = 4096
-    quantize: bool = True
     reload_poll_s: float = 2.0
     drain_timeout_s: float = 5.0
     ready_file: Path | None = None
@@ -158,7 +157,7 @@ class SelectionDaemon:
         self.registry = get_registry()
         self.store = SnapshotStore(
             config.spec, config.bundle, cache_size=config.cache_size,
-            quantize=config.quantize, registry=self.registry)
+            registry=self.registry)
         self.admission = CircuitBreaker(
             failure_threshold=config.failure_threshold,
             recovery_timeout_s=config.recovery_timeout_s)

@@ -39,6 +39,13 @@ on failure, with ``code`` drawn from a small closed set
     semantically junk still succeeds — each junk query comes back as a
     decision with ``action="invalid"``, exactly like the offline
     ``select-batch`` path.
+
+Query contract: ``nodes``, ``ppn`` and ``msg_size`` must be JSON
+integers (``true`` and ``1024.0`` are not) with ``1 <= msg_size <=
+2**62``, and the job shape must fit the served cluster; ``collective``
+must name a known collective.  Any other query is answered
+``invalid``, whatever the daemon's memo holds, so an answer never
+depends on which queries came before it.
 ``overloaded``
     Admission control refused the request (breaker open or the
     in-flight cap reached).  Back off and retry; do not queue.

@@ -115,13 +115,12 @@ class SnapshotStore:
     """
 
     def __init__(self, spec: ClusterSpec, bundle_path: str | Path | None,
-                 cache_size: int = 4096, quantize: bool = True,
+                 cache_size: int = 4096,
                  registry: MetricsRegistry | None = None) -> None:
         self.spec = spec
         self.bundle_path = Path(bundle_path) \
             if bundle_path is not None else None
         self.cache_size = cache_size
-        self.quantize = quantize
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self._lock = threading.Lock()
@@ -136,8 +135,7 @@ class SnapshotStore:
         return SelectionService(
             GuardedSelector(MvapichDefaultSelector(),
                             registry=self.registry), self.spec,
-            cache_size=self.cache_size, quantize=self.quantize,
-            registry=self.registry)
+            cache_size=self.cache_size, registry=self.registry)
 
     def _build(self, source: str, checksum: str | None) -> Snapshot:
         lineage = None
@@ -152,7 +150,7 @@ class SnapshotStore:
             selector = GuardedSelector(inner, registry=self.registry)
             service = SelectionService(
                 selector, self.spec, cache_size=self.cache_size,
-                quantize=self.quantize, registry=self.registry)
+                registry=self.registry)
             bundle = str(self.bundle_path)
         else:
             service = self._floor_service()

@@ -174,10 +174,6 @@ class GuardedSelector(AlgorithmSelector):
                msg_size: int) -> str:
         return self.explain(collective, machine, msg_size).algorithm
 
-    def select_batch(self, queries: list[tuple[str, Machine, int]]
-                     ) -> list[str]:
-        return [d.algorithm for d in self.explain_batch(queries)]
-
     def explain(self, collective: str, machine: Machine,
                 msg_size: int) -> GuardDecision:
         """Run the guard ladder, returning the full decision record."""
@@ -188,78 +184,30 @@ class GuardedSelector(AlgorithmSelector):
         return self._finish(self._resolve_inner(
             collective, machine, msg_size, p))
 
-    def explain_batch(self, queries: list[tuple[str, Machine, int]]
-                      ) -> list[GuardDecision]:
-        """Run the guard ladder over a whole batch of queries.
-
-        Queries pass the ladder's intake rungs (validate, OOD, breaker
-        admission) in order — the first malformed query raises, exactly
-        as the scalar loop would.  Every admitted query is answered by
-        *one* ``inner.select_batch`` call (the vectorized path); each
-        prediction is then feasibility-classified individually, so the
-        counter partition invariant holds query-for-query.  If the
-        batched inner call itself raises, the admitted queries are
-        replayed sequentially through the scalar inner path — without
-        re-consulting the breaker, whose admission they already hold.
-
-        With a healthy inner selector the decisions are element-wise
-        identical to ``[explain(*q) for q in queries]``.  Breaker
-        *admission* is decided at intake for the whole batch, so state
-        transitions caused by the batch's own outcomes affect later
-        batches, not later queries of the same batch.
-        """
-        decisions: list[GuardDecision | None] = [None] * len(queries)
-        pending: list[int] = []
-        for i, (collective, machine, msg_size) in enumerate(queries):
-            early = self._intake(collective, machine, msg_size)
-            if early is not None:
-                decisions[i] = self._finish(early)
-            else:
-                pending.append(i)
-        if pending:
-            batch = [queries[i] for i in pending]
-            try:
-                predictions = self.inner.select_batch(batch)
-                if len(predictions) != len(batch):
-                    raise RuntimeError(
-                        f"inner select_batch returned {len(predictions)} "
-                        f"predictions for {len(batch)} queries")
-            except Exception:
-                predictions = None
-            for j, i in enumerate(pending):
-                collective, machine, msg_size = queries[i]
-                p = int(machine.nodes) * int(machine.ppn)
-                if predictions is None:
-                    decisions[i] = self._finish(self._resolve_inner(
-                        collective, machine, msg_size, p))
-                else:
-                    decisions[i] = self._finish(self._classify(
-                        collective, machine, msg_size, p,
-                        predictions[j]))
-        return decisions  # type: ignore[return-value]
-
     def explain_block(self, spec: object, collectives: np.ndarray,
                       nodes: np.ndarray, ppn: np.ndarray,
                       msg_size: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar :meth:`explain_batch` over **prevalidated** rows.
+        """Columnar :meth:`explain` over **prevalidated** rows.
 
-        The caller (the columnar serving layer) guarantees every row
-        already satisfies :func:`validate_query` and fits *spec*'s
-        machine bounds, so the bulk path raises no exceptions and
-        builds no per-row Python objects: the OOD check runs
-        array-at-a-time, breaker admission collapses to one state read
-        while the breaker is closed (``allow_request`` is pure in that
-        state), inference goes through the inner selector's
-        ``select_block`` when it has one, and feasibility
-        classification is vectorized per collective.  Rare rows — OOD,
-        refused, infeasible, or any row once the inner call fails or
-        the breaker leaves the closed state — are replayed through the
-        *same scalar rungs* in row order, so decisions, counters and
-        breaker/clock consumption are identical to the scalar ladder.
+        The caller (the serving layer) guarantees every row already
+        satisfies :func:`validate_query` and fits *spec*'s machine
+        bounds, so the bulk path raises no exceptions and builds no
+        per-row Python objects: the OOD check runs array-at-a-time,
+        breaker admission collapses to one state read while the
+        breaker is closed (``allow_request`` is pure in that state),
+        inference goes through one inner ``select_block`` call, and
+        feasibility classification is vectorized per collective.  Rare
+        rows — OOD, refused, infeasible — are replayed through the
+        *same scalar rungs* in row order; so is every admitted row when
+        the inner selector has no ``select_block`` or its call fails.
 
-        Returns ``(algorithms, actions, details)`` object arrays,
-        row-for-row identical to ``explain_batch`` on the same rows.
+        Breaker *admission* is decided once for the whole block while
+        the breaker is closed, so transitions caused by the block's own
+        outcomes affect later blocks, not later rows of this one.  With
+        the breaker held in one state, ``(algorithms, actions,
+        details)`` and the health counters equal ``[explain(r) for r
+        in rows]``.
         """
         n = len(msg_size)
         self._counters["queries"].inc(n)
@@ -323,58 +271,43 @@ class GuardedSelector(AlgorithmSelector):
                         int(p64[i]), ACTION_BREAKER,
                         f"breaker {self.breaker.state}"))
         idx = np.flatnonzero(admitted)
+        if not len(idx):
+            return algorithms, actions, details
 
-        if len(idx):
-            block_fn = getattr(self.inner, "select_block", None)
-            predictions: np.ndarray | None
+        predictions: np.ndarray | None = None
+        block_fn = getattr(self.inner, "select_block", None)
+        if block_fn is not None:
             try:
-                if block_fn is not None:
-                    predictions = np.asarray(block_fn(
-                        spec, collectives[idx], nodes[idx], ppn[idx],
-                        msg_size[idx]), dtype=object)
-                else:
-                    batch = [(collectives[i], machine_at(i),
-                              int(msg_size[i])) for i in idx]
-                    preds_list = self.inner.select_batch(batch)
-                    predictions = np.empty(len(idx), dtype=object)
-                    for j, value in enumerate(preds_list):
-                        predictions[j] = value
+                predictions = np.asarray(block_fn(
+                    spec, collectives[idx], nodes[idx], ppn[idx],
+                    msg_size[idx]), dtype=object)
                 if len(predictions) != len(idx):
                     raise RuntimeError(
                         f"inner returned {len(predictions)} predictions "
                         f"for {len(idx)} queries")
             except Exception:
                 predictions = None
-            if predictions is None:
-                # Same sequential replay as explain_batch: admission is
-                # already held, each row consults the scalar inner path.
-                for i in idx:
-                    put(i, self._resolve_inner(
-                        collectives[i], machine_at(i), int(msg_size[i]),
-                        int(p64[i])))
-            else:
-                self._classify_block(collectives, p64, msg_size,
-                                     machine_at, idx, predictions,
-                                     block_fn is not None,
-                                     algorithms, actions, details)
-
-        # last_decision parity with explain_batch (diagnostics): the
-        # final _finish there is the highest-index admitted row, or the
-        # last row overall when nothing reached the inner selector.
-        last = int(idx[-1]) if len(idx) else n - 1
-        self.last_decision = GuardDecision(
-            str(collectives[last]), str(algorithms[last]),
-            str(actions[last]), str(details[last]))
+        if predictions is None:
+            # Admission is already held: each row consults the scalar
+            # inner path without re-consulting the breaker.
+            for i in idx:
+                put(i, self._resolve_inner(
+                    collectives[i], machine_at(i), int(msg_size[i]),
+                    int(p64[i])))
+        else:
+            self._classify_block(collectives, p64, msg_size, machine_at,
+                                 idx, predictions, algorithms, actions,
+                                 details)
         return algorithms, actions, details
 
     def _classify_block(self, collectives: np.ndarray, p64: np.ndarray,
                         msg_size: np.ndarray, machine_at, idx: np.ndarray,
-                        predictions: np.ndarray, via_block: bool,
-                        algorithms: np.ndarray, actions: np.ndarray,
-                        details: np.ndarray) -> None:
+                        predictions: np.ndarray, algorithms: np.ndarray,
+                        actions: np.ndarray, details: np.ndarray) -> None:
         """Vectorized feasibility classification of the admitted rows'
         predictions, with scalar replay of every guard trip."""
-        ok = np.zeros(len(idx), dtype=bool)
+        ok = np.fromiter((isinstance(v, str) for v in predictions),
+                         np.bool_, len(idx))
         sub_coll = collectives[idx]
         pp = p64[idx]
         for collective in dict.fromkeys(sub_coll.tolist()):
@@ -393,12 +326,7 @@ class GuardedSelector(AlgorithmSelector):
             pr = pp[rows]
             feas = known & (pr >= min_p[kidx])
             feas &= ~pow2_req[kidx] | base.power_of_two_mask(pr)
-            ok[rows] = feas
-        if not via_block:
-            # select_batch may return arbitrary objects; select_block
-            # returns name strings by contract.
-            ok &= np.fromiter((isinstance(v, str) for v in predictions),
-                              np.bool_, len(idx))
+            ok[rows] &= feas
         n_ok = int(ok.sum())
         self._counters["served_model"].inc(n_ok)
         self._counters["remapped"].inc(len(idx) - n_ok)
@@ -407,8 +335,7 @@ class GuardedSelector(AlgorithmSelector):
         actions[ok_rows] = ACTION_MODEL
         if n_ok == len(idx) and self.breaker.state == BREAKER_CLOSED:
             # n consecutive record_success() calls from closed are one.
-            if len(idx):
-                self.breaker.record_success()
+            self.breaker.record_success()
             return
         # Guard trips present (or non-closed breaker): replay outcomes
         # in row order so breaker transitions match the scalar ladder.
@@ -418,9 +345,9 @@ class GuardedSelector(AlgorithmSelector):
                 continue
             self.breaker.record_failure()
             predicted = predictions[j]
-            if via_block and isinstance(predicted, str):
-                # The scalar path str()-converts inner predictions;
-                # match its repr in the detail string.
+            if isinstance(predicted, str):
+                # np.str_ -> str, so the detail repr matches the
+                # scalar ladder's.
                 predicted = str(predicted)
             problem = self._prediction_problem(
                 collectives[i], predicted, int(p64[i]))

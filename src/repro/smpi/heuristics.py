@@ -51,6 +51,11 @@ class UnknownCollectiveError(InvalidQueryError, KeyError):
         return self.args[0] if self.args else ""
 
 
+#: Largest valid message size.  With it, every valid query fits the
+#: serving layer's int64 columns, quantized message size included.
+MAX_MSG_SIZE = 1 << 62
+
+
 def validate_query(collective: str, machine: Machine,
                    msg_size: int) -> None:
     """Shared input validation for every :class:`AlgorithmSelector`.
@@ -58,9 +63,11 @@ def validate_query(collective: str, machine: Machine,
     Raises a typed :class:`InvalidQueryError` /
     :class:`UnknownCollectiveError` instead of letting a negative
     message size or a zero-rank job shape flow into threshold
-    arithmetic or model inference.  Deliberately duck-typed on
-    *machine* (needs ``nodes`` and ``ppn``) so guard fuzzing can probe
-    it with adversarial stand-ins.
+    arithmetic or model inference.  nodes, ppn and msg_size must be
+    non-bool integers (NumPy integers count) and ``msg_size`` at most
+    :data:`MAX_MSG_SIZE`.  Deliberately duck-typed on *machine* (needs
+    ``nodes`` and ``ppn``) so guard fuzzing can probe it with
+    adversarial stand-ins.
     """
     if collective not in ALL_COLLECTIVES:
         raise UnknownCollectiveError(
@@ -73,6 +80,9 @@ def validate_query(collective: str, machine: Machine,
     if msg_size <= 0:
         raise InvalidQueryError(
             f"msg_size must be positive, got {msg_size}")
+    if msg_size > MAX_MSG_SIZE:
+        raise InvalidQueryError(
+            f"msg_size must be at most 2**62, got {msg_size}")
     for attr in ("nodes", "ppn"):
         value = getattr(machine, attr, None)
         if isinstance(value, bool) or not isinstance(
@@ -91,33 +101,21 @@ class AlgorithmSelector(abc.ABC):
     ``super()``-style helpers) before trusting the query — the runtime
     guard layer and the regression suite hold every selector to that
     contract.
+
+    Selectors that can answer *columnar* batches additionally implement
+    ``select_block(spec, collectives, nodes, ppn, msg_size)`` taking
+    per-row NumPy arrays of **prevalidated** queries for one cluster
+    spec and returning an object array of algorithm-name strings,
+    row-for-row identical to a loop over :meth:`select`.
+    :meth:`~repro.smpi.guard.GuardedSelector.explain_block` probes for
+    that method with ``getattr`` and calls :meth:`select` per row when
+    it is absent.
     """
 
     @abc.abstractmethod
     def select(self, collective: str, machine: Machine,
                msg_size: int) -> str:
         """Return the registry name of the chosen algorithm."""
-
-    def select_batch(self, queries: list[tuple[str, Machine, int]]
-                     ) -> list[str]:
-        """Answer many ``(collective, machine, msg_size)`` queries.
-
-        The base implementation loops over :meth:`select`; selectors
-        with a vectorized inference path override it.  Either way the
-        result is element-wise identical to the scalar loop, and the
-        first invalid query raises just as the loop would.
-
-        Selectors that can answer *columnar* batches additionally
-        implement ``select_block(spec, collectives, nodes, ppn,
-        msg_size)`` taking per-row NumPy arrays of **prevalidated**
-        queries for one cluster spec and returning an object array of
-        algorithm-name strings, row-for-row identical to the scalar
-        loop.  The columnar serving pipeline probes for that method
-        with ``getattr`` and falls back to :meth:`select_batch` (via
-        per-row ``Machine`` construction) when it is absent.
-        """
-        return [self.select(collective, machine, msg_size)
-                for collective, machine, msg_size in queries]
 
     def describe(self) -> str:
         return type(self).__name__

@@ -14,7 +14,7 @@ from repro.core.bench import (
 
 REQUIRED = {"forest_fit_serial", "forest_fit_parallel",
             "forest_predict_batch", "table_generation", "table_lookup",
-            "serve_batch"}
+            "serve_batch_columnar", "flight_recorder_overhead"}
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +47,15 @@ class TestRunBenchmarks:
         assert cfg["per_lookup_ratio_large_vs_small"] < configs_ratio / 4
 
     def test_serve_batch_identical_and_faster(self, results):
-        """The batched service must agree with the scalar guard loop
-        decision-for-decision, and its per-query cost must beat the
-        scalar path by a wide margin (the acceptance floor is 2x;
-        assert half of that to stay robust to container noise)."""
-        cfg = results["serve_batch"]["config"]
+        """The service's block path must agree with the scalar guard
+        ladder (algorithm, action and detail on each quantized key),
+        and its per-query cost must beat the scalar ladder (the CI gate
+        holds the committed figure to 50x; assert a bare win here to
+        stay robust to container noise)."""
+        cfg = results["serve_batch_columnar"]["config"]
         assert cfg["identical_to_scalar"] is True
         assert cfg["n_queries"] >= cfg["scalar_queries"] > 0
-        assert cfg["speedup_batch_vs_scalar"] > 1.0
+        assert cfg["speedup_vs_scalar"] > 1.0
 
     def test_write_and_reload(self, results, tmp_path):
         path = write_bench_results(results, tmp_path / "b.json")

@@ -110,12 +110,34 @@ class TestSelectBatch:
 
         queries = self._query_file(tmp_path, msgs=(1024,))
         main(["select-batch", "RI", "--bundle", str(bundle),
-              "--input", str(queries), "--no-quantize"])
+              "--input", str(queries)])
         batch_algo = json.loads(
             capsys.readouterr().out.splitlines()[0])["algorithm"]
         main(["select", "RI", "allgather", "2", "4", "1024",
               "--bundle", str(bundle)])
         assert batch_algo == capsys.readouterr().out.strip()
+
+    def test_trace_records_guard_counters(self, bundle, tmp_path,
+                                          capsys):
+        """The service's guard counts into the traced registry: one
+        guard query per distinct valid key, partition intact."""
+        from repro.obs.trace_io import load_trace
+        from repro.smpi.guard import COUNTER_KEYS
+
+        queries = self._query_file(tmp_path,
+                                   msgs=(64, 1000, 1024, 4096, -1))
+        trace_path = tmp_path / "t.jsonl"
+        rc = main(["select-batch", "RI", "--bundle", str(bundle),
+                   "--input", str(queries), "--output",
+                   str(tmp_path / "d.jsonl"), "--trace", str(trace_path)])
+        assert rc == 0
+        capsys.readouterr()
+        counters = load_trace(trace_path).counters()
+        assert counters["serve.queries"] == 5
+        assert counters["serve.invalid"] == 1
+        assert counters["guard.queries"] == 3  # 64, 1024 (x2), 4096
+        assert counters["guard.queries"] == sum(
+            counters.get(f"guard.{k}", 0) for k in COUNTER_KEYS[1:7])
 
     def test_invalid_query_becomes_invalid_decision(self, bundle,
                                                     tmp_path, capsys):
@@ -144,6 +166,51 @@ class TestSelectBatch:
                    "--input", str(tmp_path / "nope.jsonl")])
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestSelectGuarded:
+    """``select`` answers through the same guarded service as
+    ``select-batch``."""
+
+    KEYS = [(c, n, p, m)
+            for c in ("allgather", "alltoall")
+            for n, p in ((1, 3), (1, 6), (2, 3))
+            for m in (1, 64, 4096, 1 << 16, 1 << 20)]
+
+    def test_feasible_and_equal_to_select_batch(self, bundle, tmp_path,
+                                                capsys):
+        """Regression: ``select`` used to print the raw model choice,
+        e.g. recursive_doubling at p = 3."""
+        import json
+
+        from repro.smpi.collectives import base
+
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(
+            json.dumps({"collective": c, "nodes": n, "ppn": p,
+                        "msg_size": m}) + "\n"
+            for c, n, p, m in self.KEYS))
+        assert main(["select-batch", "RI", "--bundle", str(bundle),
+                     "--input", str(path)]) == 0
+        batch = [json.loads(line)["algorithm"]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert len(batch) == len(self.KEYS)
+        for (c, n, p, m), expected in zip(self.KEYS, batch):
+            assert main(["select", "RI", c, str(n), str(p), str(m),
+                         "--bundle", str(bundle)]) == 0
+            algo = capsys.readouterr().out.strip()
+            assert base.is_feasible(c, algo, n * p), (c, n, p, m, algo)
+            assert algo == expected, (c, n, p, m)
+
+    @pytest.mark.parametrize("argv,detail", (
+        (["allgather", "1", "4", "0"], "msg_size must be positive"),
+        (["allgather", "3", "4", "64"], "bad job shape"),
+    ))
+    def test_invalid_query_exits_2(self, bundle, capsys, argv, detail):
+        assert main(["select", "RI", *argv, "--bundle", str(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert detail in captured.err
 
 
 class TestSweep:

@@ -1,16 +1,20 @@
-"""Differential hardening of the columnar serving pipeline.
+"""Differential tests of the one serving path against the one oracle.
 
-The contract under test: :meth:`SelectionService.select_block` is
-*decision-for-decision identical* to :meth:`select_batch` — same
-algorithm/action/detail/cached per row, same ``serve.*`` counter
-partition, same ``guard.*`` counter partition, same breaker state —
-for every batch shape we can throw at it: mixed valid/invalid/OOD/
-infeasible rows in one block, NumPy-typed fields, bools, junk objects,
-empty blocks, single rows, and all-duplicate blocks.
+:meth:`SelectionService.select_block` (``select`` and ``select_batch``
+are adapters over it) answers every batch through
+:meth:`GuardedSelector.explain_block`.  The oracle is the scalar guard
+ladder: a row is ``invalid`` exactly when the shape check or
+:func:`validate_query` rejects the query as sent, and otherwise its
+decision is :meth:`GuardedSelector.explain` on the row's *quantized*
+key.  Every test here checks the block path against that oracle on
+seeded adversarial batches — mixed valid/invalid/OOD/infeasible rows,
+NumPy-typed fields, bools, floats, oversized integers, junk objects,
+empty blocks, single rows and all-duplicate blocks.
 
-Every test runs the same inputs through two independently constructed
-services (one per path) and compares exhaustively; nothing here
-depends on which path is "right" — the scalar walk is the oracle.
+The oracle's breaker is held in one state: closed (it never trips)
+for every row, except rows the service answered ``breaker-fallback``,
+which are checked against a breaker held open — the rule the perfbench
+verifier applies to live daemon replies.
 """
 
 import random
@@ -19,23 +23,35 @@ import numpy as np
 import pytest
 
 from repro.core.inference import PretrainedSelector
+from repro.core.resilience import CircuitBreaker
 from repro.core.training import train_model
 from repro.hwmodel import get_cluster
 from repro.serve import (
+    ACTION_INVALID,
     DecisionBlock,
     QueryBlock,
+    SelectionDecision,
     SelectionQuery,
     SelectionService,
     decisions_to_jsonl,
     quantize_msg_size,
 )
-from repro.serve.columnar import QUANTIZE_MAX, quantize_block
-from repro.smpi.guard import COUNTER_KEYS, GuardedSelector
+from repro.serve.columnar import quantize_block
+from repro.smpi.guard import (
+    ACTION_BREAKER,
+    ACTION_MODEL,
+    COUNTER_KEYS,
+    GuardedSelector,
+    extract_envelopes,
+)
 from repro.smpi.heuristics import (
+    MAX_MSG_SIZE,
     FixedSelector,
     MvapichDefaultSelector,
     OpenMpiDefaultSelector,
 )
+
+from .serve_oracle import KeyedAdversary, Oracle
 
 
 @pytest.fixture(scope="module")
@@ -43,37 +59,35 @@ def ri_spec():
     return get_cluster("RI")
 
 
-def _pair(make_selector, spec, cache_size=4096, quantize=True):
-    """Two identical services: drive one scalar, one columnar."""
-    a = SelectionService(make_selector(), spec, cache_size=cache_size,
-                         quantize=quantize)
-    b = SelectionService(make_selector(), spec, cache_size=cache_size,
-                         quantize=quantize)
-    return a, b
-
-
-def _assert_identical(scalar_svc, block_svc, batches):
-    """Feed *batches* to both services and compare everything."""
-    for batch in batches:
-        expected = scalar_svc.select_batch(list(batch))
-        got = block_svc.select_block(list(batch)).to_decisions()
-        assert len(got) == len(expected)
-        for q, x, y in zip(batch, expected, got):
-            assert (x.algorithm, x.action, x.detail, x.cached) == \
-                (y.algorithm, y.action, y.detail, y.cached), q
-            assert x.collective == y.collective and x.nodes == y.nodes \
-                and x.ppn == y.ppn and x.msg_size == y.msg_size, q
-    assert scalar_svc.counters == block_svc.counters
-    assert scalar_svc.guard.counters == block_svc.guard.counters
-    assert scalar_svc.guard.breaker.state == \
-        block_svc.guard.breaker.state
-    for svc in (scalar_svc, block_svc):
-        c = svc.counters
-        assert c["queries"] == c["cache_hits"] + c["deduped"] \
-            + c["cache_misses"]
-        assert c["invalid"] <= c["cache_misses"]
-        g = svc.guard.counters
-        assert g["queries"] == sum(g[k] for k in COUNTER_KEYS[1:7])
+def assert_matches_oracle(service, oracle, batch, as_records=False):
+    """Serve *batch* and check every row against *oracle*; returns the
+    block."""
+    rows = [{"collective": q.collective, "nodes": q.nodes, "ppn": q.ppn,
+             "msg_size": q.msg_size} for q in batch] if as_records \
+        else list(batch)
+    block = service.select_block(rows)
+    assert isinstance(block, DecisionBlock) and block.n == len(batch)
+    for q, d in zip(batch, block.to_decisions()):
+        assert (d.collective, d.nodes, d.ppn, d.msg_size) == \
+            (q.collective, q.nodes, q.ppn, q.msg_size), q
+        want = oracle.expect(q.collective, q.nodes, q.ppn, q.msg_size,
+                             d.action == ACTION_BREAKER)
+        if d.action == ACTION_BREAKER:
+            # "breaker open" vs "breaker half-open" names the live
+            # breaker's state at refusal time.
+            assert (d.algorithm, d.action) == want[:2], q
+        else:
+            assert (d.algorithm, d.action, d.detail) == want, q
+        if d.action == ACTION_INVALID:
+            assert not d.cached, q
+    c = service.counters
+    assert c["queries"] == c["cache_hits"] + c["deduped"] \
+        + c["cache_misses"]
+    assert c["invalid"] <= c["cache_misses"]
+    assert c["evictions"] == service.cache.evictions
+    g = service.guard.counters
+    assert g["queries"] == sum(g[k] for k in COUNTER_KEYS[1:7])
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +97,8 @@ def _assert_identical(scalar_svc, block_svc, batches):
 class TestAdversarialBlocks:
     def test_mixed_everything_single_block(self, ri_spec):
         """One block holding every row class at once: served, duplicate,
-        NumPy-typed, bool-typed, out-of-range, unknown collective, and
-        object junk."""
+        NumPy-typed, bool-typed, float-typed, out-of-range, oversized,
+        unknown collective, and object junk."""
         batch = [
             SelectionQuery("allgather", 2, 8, 4096),          # model
             SelectionQuery("allgather", 2, 8, 4096),          # dup
@@ -99,28 +113,38 @@ class TestAdversarialBlocks:
             SelectionQuery("allgather", 2, 8, -5),            # bad size
             SelectionQuery("allgather", True, 8, 64),         # bool nodes
             SelectionQuery("allgather", 2, 8, False),         # bool size
+            SelectionQuery("allgather", 2.0, 8, 64),          # float nodes
+            SelectionQuery("allgather", 2, 8, 64.0),          # float size
             SelectionQuery("allgather", None, 8, 64),         # junk
             SelectionQuery("allgather", 2, "8", 64),          # junk
             SelectionQuery(42, 2, 8, 64),                     # junk coll
-            SelectionQuery("allgather", 2, 8, 10**25),        # overflow
+            SelectionQuery("allgather", 2, 8, 10**25),        # oversized
+            SelectionQuery("allgather", 2, 8, 2**62 + 1),     # oversized
         ]
-        a, b = _pair(MvapichDefaultSelector, ri_spec)
-        _assert_identical(a, b, [batch])
-        assert a.counters["invalid"] > 0
+        svc = SelectionService(MvapichDefaultSelector(), ri_spec)
+        block = assert_matches_oracle(
+            svc, Oracle(MvapichDefaultSelector(), ri_spec), batch)
+        assert block.cached.tolist()[:4] == [False, True, True, True]
+        # Invalid rows are answered one by one, never deduplicated.
+        assert svc.counters["invalid"] == 13
+        assert svc.counters["cache_misses"] == 13 + 3
+        assert svc.counters["deduped"] == 3
 
-    @pytest.mark.parametrize("quantize", (True, False))
-    def test_empty_single_and_all_duplicates(self, ri_spec, quantize):
+    @pytest.mark.parametrize("as_records", (True, False))
+    def test_empty_single_and_all_duplicates(self, ri_spec, as_records):
         q = SelectionQuery("bcast", 1, 4, 32768)
-        a, b = _pair(OpenMpiDefaultSelector, ri_spec, quantize=quantize)
-        _assert_identical(a, b, [[], [q], [q] * 50])
-        # all-duplicate block: one miss (already resolved), rest dedup
-        # or hits depending on the earlier batches — partition checked
-        # inside _assert_identical either way.
-        assert a.counters["queries"] == 51
+        svc = SelectionService(OpenMpiDefaultSelector(), ri_spec)
+        oracle = Oracle(OpenMpiDefaultSelector(), ri_spec)
+        for batch in ([], [q], [q] * 50):
+            assert_matches_oracle(svc, oracle, batch, as_records)
+        # One miss; the 50-row block is all memo hits.
+        assert svc.counters == {"queries": 51, "cache_hits": 50,
+                                "deduped": 0, "cache_misses": 1,
+                                "invalid": 0, "evictions": 0}
 
     def test_numpy_typed_fields_share_keys_with_plain_ints(self, ri_spec):
-        """np.integer fields must land on the same memo entries as the
-        equal plain ints — across both paths and both directions."""
+        """np.integer fields land on the same memo entries as the equal
+        plain ints."""
         plain = SelectionQuery("allgather", 2, 8, 1000)
         typed = SelectionQuery("allgather", np.int64(2), np.int32(8),
                                np.int64(1000))
@@ -135,30 +159,31 @@ class TestAdversarialBlocks:
 
     def test_infeasible_predictions_and_breaker_replay(self, ri_spec):
         """Valid-but-infeasible predictions trip the guard per unique
-        key; once the breaker opens, refusals replay per row — both
-        must match the scalar ladder exactly."""
+        key; once the breaker opens, refusals replay per row.  Every
+        row still equals the scalar ladder (held open for the refused
+        rows)."""
         rng = random.Random(5)
-        mk = lambda: GuardedSelector(
-            FixedSelector("allgather", "recursive_doubling"))
-        a, b = _pair(mk, ri_spec, quantize=False)
-        batches = [
-            [SelectionQuery("allgather", 1, 3, rng.randint(1, 10**6))
-             for _ in range(rng.randint(5, 60))]
-            for _ in range(6)
-        ]
-        _assert_identical(a, b, batches)
-        assert a.guard.breaker.state == "open"
-        assert a.guard.counters["breaker_fallback"] > 0
-        assert a.guard.counters["remapped"] > 0
+        inner = FixedSelector("allgather", "recursive_doubling")
+        svc = SelectionService(inner, ri_spec)
+        oracle = Oracle(inner, ri_spec)
+        for _ in range(6):
+            batch = [SelectionQuery("allgather", 1, 3,
+                                    rng.randint(1, 10**6))
+                     for _ in range(rng.randint(5, 60))]
+            assert_matches_oracle(svc, oracle, batch)
+        assert svc.guard.breaker.state == "open"
+        assert svc.guard.counters["breaker_fallback"] > 0
+        assert svc.guard.counters["remapped"] > 0
 
     def test_cross_path_memo_interop(self, ri_spec):
-        """A key resolved by one path is a hit for the other."""
+        """A key resolved by ``select_block`` is a memo hit for the
+        one-row ``select`` adapter."""
         q = SelectionQuery("alltoall", 2, 8, 2048)
         svc = SelectionService(MvapichDefaultSelector(), ri_spec,
                                cache_size=64)
         d1 = svc.select_block([q]).to_decisions()[0]
         assert d1.cached is False
-        d2 = svc.select_batch([q])[0]
+        d2 = svc.select(q)
         assert d2.cached is True
         assert d2.algorithm == d1.algorithm
         assert d2.detail == d1.detail
@@ -174,29 +199,42 @@ class TestAdversarialBlocks:
         ]
         queries = [SelectionQuery(r["collective"], r["nodes"], r["ppn"],
                                   r["msg_size"]) for r in records]
-        a, b = _pair(MvapichDefaultSelector, ri_spec)
-        da = a.select_block(queries).to_dicts()
-        db = b.select_block(records).to_dicts()
-        assert da == db
+        a = SelectionService(MvapichDefaultSelector(), ri_spec)
+        b = SelectionService(MvapichDefaultSelector(), ri_spec)
+        assert a.select_block(queries).to_dicts() == \
+            b.select_block(records).to_dicts()
         assert a.counters == b.counters
 
     def test_jsonl_byte_identical_on_clean_batch(self, ri_spec):
         """For JSON-shaped inputs (the daemon's case) the serialized
-        decisions are byte-identical between paths."""
+        decisions are byte-identical to the scalar ladder's answers."""
         batch = [SelectionQuery("allreduce", 2, 8, m)
                  for m in (1, 64, 1000, 1024, 1100, 2**18)]
         batch += [SelectionQuery("bogus", 1, 1, 1),
                   SelectionQuery("allreduce", 0, 8, 64)]
-        a, b = _pair(MvapichDefaultSelector, ri_spec)
-        assert decisions_to_jsonl(a.select_batch(list(batch))) == \
-            decisions_to_jsonl(b.select_block(list(batch)).to_decisions())
+        oracle = Oracle(MvapichDefaultSelector(), ri_spec)
+        seen = set()
+        expected = []
+        for q in batch:
+            alg, act, det = oracle.expect(q.collective, q.nodes, q.ppn,
+                                          q.msg_size)
+            key = (q.collective, q.nodes, q.ppn,
+                   quantize_msg_size(q.msg_size))
+            expected.append(SelectionDecision(
+                q.collective, q.nodes, q.ppn, q.msg_size, alg, act, det,
+                cached=act != ACTION_INVALID and key in seen))
+            seen.add(key)
+        svc = SelectionService(MvapichDefaultSelector(), ri_spec)
+        assert decisions_to_jsonl(svc.select_batch(batch)) == \
+            decisions_to_jsonl(expected)
 
 
 # ---------------------------------------------------------------------------
-# Seeded fuzz across both heuristic families
+# Seeded fuzz against the scalar ladder
 # ---------------------------------------------------------------------------
 
-JUNK = (None, "x", 3.5, -1, 0, True, False, 10**25, -(10**25), "8")
+JUNK = (None, "x", 3.5, 2.0, -1, 0, True, False, 10**25, -(10**25),
+        2**62 + 1, "8", np.float64(4.0), np.bool_(True))
 COLLECTIVES = ("allgather", "alltoall", "allreduce", "bcast",
                "reduce_scatter")
 
@@ -209,7 +247,7 @@ def _random_batch(rng, n):
                 rng.choice(COLLECTIVES + ("bogus", 42)),
                 rng.choice(JUNK + (1, 2, np.int64(2))),
                 rng.choice(JUNK + (1, 8, np.int64(16))),
-                rng.choice(JUNK + (64, np.int64(1024)))))
+                rng.choice(JUNK + (64, np.int64(1024), 2**62))))
         else:
             batch.append(SelectionQuery(
                 rng.choice(COLLECTIVES), rng.randint(1, 3),
@@ -219,42 +257,104 @@ def _random_batch(rng, n):
     return batch
 
 
+@pytest.fixture(scope="module")
+def trained(mini_dataset):
+    return PretrainedSelector({
+        c: train_model(mini_dataset, c, seed=0,
+                       params={"n_estimators": 4})
+        for c in ("allgather", "alltoall")})
+
+
 class TestFuzzDifferential:
-    @pytest.mark.parametrize("make_selector,quantize", (
-        (MvapichDefaultSelector, True),
+    @pytest.mark.parametrize("make_selector,as_records", (
         (MvapichDefaultSelector, False),
+        (MvapichDefaultSelector, True),
         (OpenMpiDefaultSelector, True),
     ))
-    def test_heuristic_batches(self, ri_spec, make_selector, quantize):
+    def test_heuristic_batches(self, ri_spec, make_selector, as_records):
         rng = random.Random(13)
-        a, b = _pair(make_selector, ri_spec, quantize=quantize)
-        batches = [_random_batch(rng, rng.randint(0, 200))
-                   for _ in range(5)]
-        _assert_identical(a, b, batches)
+        svc = SelectionService(make_selector(), ri_spec, cache_size=64)
+        oracle = Oracle(make_selector(), ri_spec)
+        for _ in range(5):
+            assert_matches_oracle(svc, oracle,
+                                  _random_batch(rng, rng.randint(0, 200)),
+                                  as_records)
+        assert svc.counters["evictions"] > 0
 
     def test_pretrained_with_ood_and_missing_models(self, ri_spec,
-                                                    mini_dataset):
+                                                    trained):
         """Model path + OOD envelope routing + error fallback (queries
         for collectives the bundle lacks raise inside the inner
         selector) — all in the same blocks."""
-        def mk():
-            models = {c: train_model(mini_dataset, c, seed=0,
-                                     params={"n_estimators": 4})
-                      for c in ("allgather", "alltoall")}
-            return GuardedSelector(PretrainedSelector(models))
-
         rng = random.Random(29)
-        a, b = _pair(mk, ri_spec, cache_size=8192)
-        batches = []
+        svc = SelectionService(trained, ri_spec, cache_size=8192)
+        oracle = Oracle(trained, ri_spec)
         for _ in range(4):
             batch = _random_batch(rng, rng.randint(1, 150))
             # far-OOD shapes/sizes relative to the trained grid
             batch += [SelectionQuery("allgather", 1, 1, 2**30),
                       SelectionQuery("alltoall", 2, 16, 1)]
-            batches.append(batch)
-        _assert_identical(a, b, batches)
-        assert a.guard.counters["ood_fallback"] > 0
-        assert a.guard.counters["error_fallback"] > 0
+            assert_matches_oracle(svc, oracle, batch)
+        assert svc.guard.counters["ood_fallback"] > 0
+        assert svc.guard.counters["error_fallback"] > 0
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_adversarial_inner_batches(self, ri_spec, trained, seed):
+        """Junk labels, junk types, infeasible names and exceptions trip
+        a live breaker open mid-stream; rows answered before, while and
+        after it is open all match the scalar ladder."""
+        rng = random.Random(seed)
+        inner = KeyedAdversary(raises=seed != 0)
+        env = extract_envelopes(trained)
+        svc = SelectionService(
+            GuardedSelector(inner, envelopes=env,
+                            breaker=CircuitBreaker(failure_threshold=2)),
+            ri_spec, cache_size=rng.randint(8, 64))
+        oracle = Oracle(inner, ri_spec, envelopes=env)
+        actions = set()
+        for _ in range(8):
+            block = assert_matches_oracle(
+                svc, oracle, _random_batch(rng, rng.randint(1, 80)),
+                as_records=rng.random() < 0.5)
+            actions.update(block.actions.tolist())
+        assert {ACTION_BREAKER, "remap", ACTION_INVALID} <= actions
+
+
+# ---------------------------------------------------------------------------
+# The query contract (answers never depend on memo history)
+# ---------------------------------------------------------------------------
+
+class TestQueryContract:
+    @pytest.mark.parametrize("nodes", (True, 1.0))
+    def test_non_int_twin_invalid_whether_or_not_cached(self, nodes):
+        """Regression: a bool or float field used to share its integer
+        twin's memo entry (``True == 1``, ``1.0 == 1``) in either
+        direction, so both answers depended on memo history."""
+        twin = SelectionQuery("allgather", 1, 4, 64)
+        alias = SelectionQuery("allgather", nodes, 4, 64)
+        svc = SelectionService(MvapichDefaultSelector(),
+                               get_cluster("Ray"))
+        cold = svc.select(alias)
+        assert svc.select(twin).action == ACTION_MODEL
+        warm = svc.select(alias)
+        same_block = svc.select_batch([twin, alias, alias])
+        for d in (cold, warm, *same_block[1:]):
+            assert (d.algorithm, d.action, d.cached) == \
+                (None, ACTION_INVALID, False)
+            assert d.detail == \
+                f"machine.nodes must be an integer, got {nodes!r}"
+        assert same_block[0].cached is True
+
+    @pytest.mark.parametrize("msg", (2**62 + 1, 2**70),
+                             ids=("2**62+1", "2**70"))
+    def test_oversized_msg_size_invalid(self, msg):
+        svc = SelectionService(MvapichDefaultSelector(),
+                               get_cluster("Ray"))
+        d = svc.select(SelectionQuery("allgather", 1, 4, msg))
+        assert (d.algorithm, d.action) == (None, ACTION_INVALID)
+        assert d.detail == f"msg_size must be at most 2**62, got {msg}"
+        assert svc.select(SelectionQuery(
+            "allgather", 1, 4, MAX_MSG_SIZE)).action == ACTION_MODEL
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +366,19 @@ class TestQuantizeBlock:
         import math
         vals = [1, 2, 3, 5, 6, 7, 1023, 1024, 1025,
                 398065729532861, 199032864766430,
-                QUANTIZE_MAX, QUANTIZE_MAX - 1]
-        vals += [(1 << e) + d for e in range(1, 62) for d in (-1, 0, 1)]
+                MAX_MSG_SIZE, MAX_MSG_SIZE - 1]
+        vals += [(1 << e) + d for e in range(1, 63) for d in (-1, 0, 1)]
         vals += [math.isqrt(1 << (2 * e + 1)) + d
                  for e in range(62) for d in (-1, 0, 1, 2)]
-        vals = [v for v in vals if v >= 1]
-        arr = np.array(vals, dtype=np.int64)
-        got = quantize_block(arr)
+        vals = [v for v in vals if 1 <= v <= MAX_MSG_SIZE]
+        got = quantize_block(np.array(vals, dtype=np.int64))
         for v, g in zip(vals, got.tolist()):
             assert g == quantize_msg_size(v), v
 
     def test_random_values_match_scalar(self):
         rng = random.Random(0)
-        vals = [rng.randrange(1, QUANTIZE_MAX) for _ in range(20_000)]
+        vals = [rng.randrange(1, MAX_MSG_SIZE + 1)
+                for _ in range(20_000)]
         got = quantize_block(np.array(vals, dtype=np.int64))
         for v, g in zip(vals, got.tolist()):
             assert g == quantize_msg_size(v), v
@@ -286,39 +386,21 @@ class TestQuantizeBlock:
 
 class TestQueryBlock:
     def test_row_classification(self):
+        """Only known collectives with three int64-sized non-bool
+        integer fields are ``columnar``; everything else is invalid."""
         blk = QueryBlock.from_queries([
             SelectionQuery("allgather", 2, 8, 64),
-            SelectionQuery("allgather", np.int64(2), 8, 64),
+            SelectionQuery("allgather", np.int64(2), np.uint8(8), 64),
             SelectionQuery("allgather", True, 8, 64),
+            SelectionQuery("allgather", 2, np.bool_(True), 64),
             SelectionQuery("bogus", 2, 8, 64),
             SelectionQuery("allgather", 2.0, 8, 64),
             SelectionQuery("allgather", 2, 8, 10**25),
+            SelectionQuery("allgather", 2, 8, np.uint64(2**64 - 1)),
         ])
-        assert blk.columnar.tolist() == [True, True, True, False,
-                                         False, False]
-        assert blk.boolish.tolist() == [False, False, True, False,
-                                        False, False]
-        assert blk.needs_scalar  # positive msg_size overflow
-        assert blk.nodes64[:3].tolist() == [2, 2, 1]
-
-    def test_overflow_batch_falls_back_but_answers(self, ri_spec):
-        a, b = _pair(MvapichDefaultSelector, ri_spec)
-        batch = [SelectionQuery("allgather", 2, 8, 10**25),
-                 SelectionQuery("allgather", 2, 8, 64)]
-        _assert_identical(a, b, [batch])
-
-    def test_float_int_key_aliasing_falls_back(self, ri_spec):
-        """4.0 == 4 shares a scalar memo key; the block detects the
-        cross-type alias and routes the batch through the scalar walk
-        so first-occurrence semantics are preserved."""
-        batches = [
-            [SelectionQuery("allgather", 2, 8, 64),
-             SelectionQuery("allgather", 2.0, 8, 64)],
-            [SelectionQuery("allgather", 2.0, 8, 128),
-             SelectionQuery("allgather", 2, 8, 128)],
-        ]
-        a, b = _pair(MvapichDefaultSelector, ri_spec)
-        _assert_identical(a, b, batches)
+        assert blk.columnar.tolist() == [True, True] + [False] * 6
+        assert blk.nodes64[:2].tolist() == [2, 2]
+        assert blk.ppn64[:2].tolist() == [8, 8]
 
 
 class TestDecisionBlock:

@@ -71,6 +71,16 @@ class TestValidateQuery:
         with pytest.raises(InvalidQueryError):
             validate_query("allgather", machine, msg)
 
+    @pytest.mark.parametrize("msg", [2**62 + 1, 2**70])
+    def test_rejects_msg_over_2_62(self, machine, msg):
+        """Every valid query fits int64, quantized size included."""
+        validate_query("allgather", machine, 2**62)
+        with pytest.raises(InvalidQueryError, match="at most 2\\*\\*62"):
+            validate_query("allgather", machine, msg)
+        guard = GuardedSelector(MvapichDefaultSelector())
+        with pytest.raises(InvalidQueryError):
+            guard.explain("allgather", machine, msg)
+
     def test_rejects_unknown_collective(self, machine):
         with pytest.raises(UnknownCollectiveError):
             validate_query("no_such_collective", machine, 1024)

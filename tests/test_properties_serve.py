@@ -9,9 +9,9 @@ Three families of invariants:
   gets, and the service's ``queries == cache_hits + deduped +
   cache_misses`` partition survives arbitrary mixes of valid,
   duplicate, and malformed queries.
-* **Guard feasibility** — every decision a guarded batch returns for a
-  valid query names an algorithm feasible on that query's communicator
-  shape, whatever garbage the inner selector emits.
+* **Guard feasibility** — every decision ``explain_block`` returns for
+  a (prevalidated) row names an algorithm feasible on that row's
+  communicator shape, whatever garbage the inner selector emits.
 """
 
 import random
@@ -25,7 +25,6 @@ from repro.serve import (
     SelectionQuery,
     SelectionService,
 )
-from repro.simcluster.machine import Machine
 from repro.smpi.collectives import base
 from repro.smpi.guard import GuardedSelector
 from repro.smpi.heuristics import (
@@ -35,6 +34,8 @@ from repro.smpi.heuristics import (
     validate_query,
 )
 from repro.smpi.tuning import TuningTable
+
+from .serve_oracle import block_args
 
 SEEDS = (0, 1, 2)
 
@@ -157,7 +158,7 @@ def test_service_counter_partition(seed):
 
 class _AdversarialSelector(AlgorithmSelector):
     """Emits unknown labels, infeasible choices, junk types, and
-    exceptions at seeded random — batched and scalar alike."""
+    exceptions at seeded random — block and scalar alike."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -177,10 +178,10 @@ class _AdversarialSelector(AlgorithmSelector):
         validate_query(collective, machine, msg_size)
         return self._one(collective)
 
-    def select_batch(self, queries):
+    def select_block(self, spec, collectives, nodes, ppn, msg_size):
         if self.rng.random() < 0.3:
             raise RuntimeError("vectorized path down")
-        return [self.select(*q) for q in queries]
+        return [self._one(c) for c in collectives]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -189,20 +190,19 @@ def test_every_batch_decision_is_feasible(seed):
     spec = get_cluster("Ray")
     guard = GuardedSelector(_AdversarialSelector(seed))
     for _ in range(6):
-        queries = []
+        rows = []
         for _ in range(rng.randint(1, 40)):
-            machine = Machine(spec, rng.randint(1, 2),
-                              2 ** rng.randint(0, 4))
-            if machine.p < 2:
-                machine = Machine(spec, 2, 2)
-            queries.append((rng.choice(ALL_COLLECTIVES), machine,
-                            2 ** rng.randint(3, 20)))
-        decisions = guard.explain_batch(queries)
-        for (collective, machine, _), decision in zip(queries,
-                                                      decisions):
-            assert base.is_feasible(collective, decision.algorithm,
-                                    machine.p), \
-                (decision, machine.nodes, machine.ppn)
+            nodes, ppn = rng.randint(1, 2), 2 ** rng.randint(0, 4)
+            if nodes * ppn < 2:
+                nodes, ppn = 2, 2
+            rows.append((rng.choice(ALL_COLLECTIVES), nodes, ppn,
+                         2 ** rng.randint(3, 20)))
+        algorithms, actions, _ = guard.explain_block(
+            spec, *block_args(rows))
+        for (collective, n, p, _), algorithm, action in zip(
+                rows, algorithms, actions):
+            assert base.is_feasible(collective, algorithm, n * p), \
+                (collective, algorithm, action, n, p)
         c = guard.counters
         assert c["queries"] == (c["invalid"] + c["served_model"]
                                 + c["remapped"] + c["ood_fallback"]

@@ -1,6 +1,8 @@
 """Unit tests for the serving layer: LRU memo, quantization, the
-batched SelectionService, JSONL I/O, and the guard/selector batch
+batched SelectionService, JSONL I/O, and the guard/selector block
 paths it is built on."""
+
+import random
 
 import numpy as np
 import pytest
@@ -22,13 +24,17 @@ from repro.smpi.guard import (
     ACTION_ERROR,
     ACTION_MODEL,
     GuardedSelector,
-    InvalidQueryError,
+    extract_envelopes,
 )
 from repro.smpi.heuristics import (
+    ALL_COLLECTIVES,
     AlgorithmSelector,
+    FixedSelector,
     MvapichDefaultSelector,
     OpenMpiDefaultSelector,
 )
+
+from .serve_oracle import KeyedAdversary, block_args, held_breaker
 
 
 class TestLRUCache:
@@ -141,14 +147,6 @@ class TestSelectionService:
         assert a.msg_size == 1000 and b.msg_size == 1100
         assert service.counters["deduped"] == 1
 
-    def test_no_quantize_keeps_sizes_distinct(self, ray_spec):
-        service = SelectionService(MvapichDefaultSelector(), ray_spec,
-                                   quantize=False)
-        service.select_batch([SelectionQuery("allgather", 2, 4, 1000),
-                              SelectionQuery("allgather", 2, 4, 1100)])
-        assert service.counters["cache_misses"] == 2
-        assert service.counters["deduped"] == 0
-
     def test_invalid_queries_never_raise(self, service):
         decisions = service.select_batch(
             [SelectionQuery("nope", 2, 4, 64),
@@ -166,7 +164,7 @@ class TestSelectionService:
 
     def test_eviction_counter_mirrors_cache(self, ray_spec):
         service = SelectionService(MvapichDefaultSelector(), ray_spec,
-                                   cache_size=2, quantize=False)
+                                   cache_size=2)
         service.select_batch([SelectionQuery("allgather", 2, 4, m)
                               for m in (64, 128, 256, 512)])
         assert service.counters["evictions"] == 2
@@ -181,6 +179,14 @@ class TestSelectionService:
         assert isinstance(service.guard, GuardedSelector)
         guard = GuardedSelector(OpenMpiDefaultSelector())
         assert SelectionService(guard, ray_spec).guard is guard
+
+    def test_wrapped_guard_counts_into_service_registry(self, ray_spec):
+        """A plain selector's guard shares the service's registry, so a
+        traced run records guard.* beside serve.*."""
+        service = SelectionService(MvapichDefaultSelector(), ray_spec)
+        service.select(SelectionQuery("allgather", 2, 4, 64))
+        assert service.guard.registry is service.registry
+        assert service.registry.counter("guard.queries").value == 1
 
 
 class TestJsonl:
@@ -214,55 +220,100 @@ class TestJsonl:
         assert '"algorithm":null' in once
 
 
-class _ExplodingBatchSelector(MvapichDefaultSelector):
-    """Scalar path works; the batch path always raises — forces the
-    guard's sequential replay."""
+class _ExplodingBlockSelector(MvapichDefaultSelector):
+    """Scalar path works; the block path always raises — forces the
+    guard's per-row replay."""
 
-    def select_batch(self, queries):
+    def select_block(self, *args):
         raise RuntimeError("vectorized path down")
 
 
 class _CountingSelector(MvapichDefaultSelector):
     def __init__(self):
-        self.batch_calls = 0
+        self.block_calls = 0
         self.scalar_calls = 0
 
     def select(self, collective, machine, msg_size):
         self.scalar_calls += 1
         return super().select(collective, machine, msg_size)
 
-    def select_batch(self, queries):
-        self.batch_calls += 1
-        return [MvapichDefaultSelector.select(self, *q) for q in queries]
+    def select_block(self, *args):
+        self.block_calls += 1
+        return super().select_block(*args)
+
+
+def _explain_rows(guard, spec, rows):
+    """``explain_block`` as a list of ``(algorithm, action, detail)``."""
+    out = guard.explain_block(spec, *block_args(rows))
+    return list(zip(*(a.tolist() for a in out)))
+
+
+def _explain_loop(guard, spec, rows):
+    """The scalar ladder, one ``explain`` per row."""
+    out = []
+    for c, n, p, m in rows:
+        d = guard.explain(c, Machine(spec, n, p), m)
+        out.append((d.algorithm, d.action, d.detail))
+    return out
 
 
 class TestGuardBatch:
-    def _queries(self, spec, n=12):
+    def _rows(self, n=12):
         rng = np.random.default_rng(0)
-        out = []
-        for _ in range(n):
-            nodes = int(rng.integers(1, 3))
-            ppn = int(2 ** rng.integers(1, 4))
-            msg = int(2 ** rng.integers(4, 20))
-            out.append(("allgather", Machine(spec, nodes, ppn), msg))
-        return out
+        return [("allgather", int(rng.integers(1, 3)),
+                 int(2 ** rng.integers(1, 4)), int(2 ** rng.integers(4, 20)))
+                for _ in range(n)]
 
-    def test_batch_matches_scalar_loop(self, ray_spec):
-        queries = self._queries(ray_spec)
-        batch_decisions = GuardedSelector(
-            MvapichDefaultSelector()).explain_batch(queries)
-        scalar_guard = GuardedSelector(MvapichDefaultSelector())
-        scalar_decisions = [scalar_guard.explain(*q) for q in queries]
-        assert batch_decisions == scalar_decisions
+    def test_batch_matches_scalar_loop(self, ray_spec, trained_guard):
+        """``explain_block`` equals ``[explain(r) for r in rows]`` in
+        (algorithm, action, detail) and in every guard.* counter, for
+        trained, heuristic and adversarial inners over seeded
+        prevalidated rows mixing in-envelope, OOD, infeasible
+        (p = 3, 6, 12) and missing-model rows — once with the breaker
+        held closed, once held open."""
+        _, trained = trained_guard
+        env = extract_envelopes(trained)
+        rng = random.Random(7)
+        shapes = [(1, 2), (1, 3), (2, 3), (1, 6), (2, 6), (1, 16),
+                  (2, 16), (8, 160), (1, 1), (4, 12)]
+        rows = []
+        for _ in range(160):
+            n, p = rng.choice(shapes)
+            rows.append((rng.choice(ALL_COLLECTIVES), n, p,
+                         rng.choice([1, 2 ** rng.randint(0, 34),
+                                     rng.randint(1, 10**7)])))
+        inners = {
+            "trained": (trained, None),
+            "mvapich": (MvapichDefaultSelector(), None),
+            "fixed-rd": (FixedSelector("allgather", "recursive_doubling"),
+                         None),
+            "adversary": (KeyedAdversary(raises=False), env),
+            "raising-adversary": (KeyedAdversary(raises=True), env),
+        }
+        actions = set()
+        for state in ("closed", "open"):
+            for name, (inner, envelopes) in inners.items():
+                block = GuardedSelector(inner, envelopes=envelopes,
+                                        breaker=held_breaker(state))
+                loop = GuardedSelector(inner, envelopes=envelopes,
+                                       breaker=held_breaker(state))
+                got = _explain_rows(block, ray_spec, rows)
+                assert got == _explain_loop(loop, ray_spec, rows), \
+                    (state, name)
+                assert block.counters == loop.counters, (state, name)
+                assert block.breaker.state == state
+                actions.update(a for _, a, _ in got)
+        assert actions == {"model", "remap", "ood-fallback",
+                           "breaker-fallback", "error-fallback"}
 
     def test_one_inner_batch_call(self, ray_spec):
         inner = _CountingSelector()
-        GuardedSelector(inner).explain_batch(self._queries(ray_spec))
-        assert inner.batch_calls == 1 and inner.scalar_calls == 0
+        _explain_rows(GuardedSelector(inner), ray_spec, self._rows())
+        assert inner.block_calls == 1 and inner.scalar_calls == 0
 
     def test_counter_partition_holds(self, ray_spec):
         guard = GuardedSelector(MvapichDefaultSelector())
-        guard.explain_batch(self._queries(ray_spec))
+        _explain_rows(guard, ray_spec, self._rows())
         c = guard.counters
         assert c["queries"] == (c["invalid"] + c["served_model"]
                                 + c["remapped"] + c["ood_fallback"]
@@ -270,49 +321,23 @@ class TestGuardBatch:
                                 + c["error_fallback"])
 
     def test_failed_batch_replays_scalar(self, ray_spec):
-        queries = self._queries(ray_spec)
-        guard = GuardedSelector(_ExplodingBatchSelector())
-        decisions = guard.explain_batch(queries)
-        reference = [GuardedSelector(MvapichDefaultSelector()).explain(*q)
-                     for q in queries]
-        assert [d.algorithm for d in decisions] == \
-            [d.algorithm for d in reference]
-        assert all(d.action == ACTION_MODEL for d in decisions)
-
-    def test_malformed_query_raises_like_scalar(self, ray_spec):
-        machine = Machine(ray_spec, 2, 4)
-        guard = GuardedSelector(MvapichDefaultSelector())
-        with pytest.raises(InvalidQueryError):
-            guard.explain_batch([("allgather", machine, 64),
-                                 ("allgather", machine, -1)])
-        # The valid query before the malformed one was still counted.
-        assert guard.counters["queries"] == 2
-        assert guard.counters["invalid"] == 1
+        rows = self._rows()
+        got = _explain_rows(GuardedSelector(_ExplodingBlockSelector()),
+                            ray_spec, rows)
+        reference = _explain_loop(GuardedSelector(
+            MvapichDefaultSelector()), ray_spec, rows)
+        assert got == reference
+        assert all(action == ACTION_MODEL for _, action, _ in got)
 
     def test_wrong_length_batch_result_replays(self, ray_spec):
-        class ShortBatch(MvapichDefaultSelector):
-            def select_batch(self, queries):
+        class ShortBlock(MvapichDefaultSelector):
+            def select_block(self, *args):
                 return ["ring"]  # wrong length
 
-        queries = self._queries(ray_spec, n=4)
-        decisions = GuardedSelector(ShortBatch()).explain_batch(queries)
-        assert len(decisions) == 4
-        assert all(d.action == ACTION_MODEL for d in decisions)
-
-    def test_select_batch_returns_names(self, ray_spec):
-        queries = self._queries(ray_spec, n=3)
-        guard = GuardedSelector(MvapichDefaultSelector())
-        assert guard.select_batch(queries) == \
-            [d.algorithm for d in guard.explain_batch(queries)]
-
-
-class TestSelectorBatchDefault:
-    def test_base_class_loops_over_select(self, ray_spec):
-        selector = OpenMpiDefaultSelector()
-        machine = Machine(ray_spec, 2, 8)
-        queries = [("bcast", machine, 2 ** e) for e in range(4, 24, 2)]
-        assert selector.select_batch(queries) == \
-            [selector.select(*q) for q in queries]
+        got = _explain_rows(GuardedSelector(ShortBlock()), ray_spec,
+                            self._rows(n=4))
+        assert len(got) == 4
+        assert all(action == ACTION_MODEL for _, action, _ in got)
 
 
 @pytest.fixture(scope="module")
@@ -327,21 +352,18 @@ class TestPretrainedBatch:
         _, selector = trained_guard
         spec = get_cluster("Ray")
         rng = np.random.default_rng(1)
-        queries = []
-        for _ in range(20):
-            machine = Machine(spec, int(rng.integers(1, 3)),
-                              int(2 ** rng.integers(1, 4)))
-            coll = ("allgather", "alltoall")[int(rng.integers(2))]
-            queries.append((coll, machine,
-                            int(2 ** rng.integers(4, 18))))
-        assert selector.select_batch(queries) == \
-            [selector.select(*q) for q in queries]
+        rows = [(("allgather", "alltoall")[int(rng.integers(2))],
+                 int(rng.integers(1, 3)), int(2 ** rng.integers(1, 4)),
+                 int(2 ** rng.integers(4, 18))) for _ in range(20)]
+        assert selector.select_block(spec, *block_args(rows)).tolist() \
+            == [selector.select(c, Machine(spec, n, p), m)
+                for c, n, p, m in rows]
 
     def test_missing_model_raises(self, trained_guard):
         _, selector = trained_guard
-        machine = Machine(get_cluster("Ray"), 2, 4)
         with pytest.raises(KeyError, match="bcast"):
-            selector.select_batch([("bcast", machine, 64)])
+            selector.select_block(get_cluster("Ray"),
+                                  *block_args([("bcast", 2, 4, 64)]))
 
     def test_service_over_trained_guard(self, trained_guard):
         guard, _ = trained_guard
