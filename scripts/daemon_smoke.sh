@@ -48,9 +48,10 @@ if grep -q "VIOLATION:" "$workdir/daemon_chaos.out"; then
     echo "daemon soak recorded violations" >&2
     exit 1
 fi
-# The soak must have answered introspection scrapes mid-storm.
-if grep -q "scrapes answered:   0" "$workdir/daemon_chaos.out"; then
-    echo "daemon soak answered zero introspection scrapes" >&2
+# The soak must have answered introspection scrapes mid-storm (a
+# missing or reworded report line fails the stage too).
+if ! grep -Eq "^scrapes answered: +[1-9]" "$workdir/daemon_chaos.out"; then
+    echo "daemon soak reported no answered introspection scrapes" >&2
     exit 1
 fi
 
@@ -59,8 +60,9 @@ bundle="$workdir/bundle.json"
 socket="$workdir/daemon.sock"
 python - "$bundle" <<'PY'
 import sys
-from repro.core.chaos import _train_chaos_bundle
-_train_chaos_bundle(sys.argv[1], seed=0)
+from repro.core.bundle import save_selector
+from repro.core.chaos import train_chaos_selector
+save_selector(train_chaos_selector(seed=0)[1], sys.argv[1])
 PY
 timeout --kill-after=30 "$HARD_TIMEOUT_S" \
     python -m repro.cli serve RI \

@@ -117,6 +117,16 @@ def _retry_arg(args: argparse.Namespace) -> RetryPolicy | None:
                        jitter=0.0)
 
 
+def _load_bundle(path: Path):
+    """The selector in bundle *path*, or ``None`` after printing why it
+    cannot be loaded (callers exit 2)."""
+    try:
+        return load_selector(path)
+    except (OSError, ArtifactError) as exc:
+        print(f"cannot load bundle {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_active_collect(args: argparse.Namespace) -> int:
     config = ActiveConfig(
         seed=args.active_seed,
@@ -200,7 +210,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    selector = load_selector(args.bundle)
+    selector = _load_bundle(args.bundle)
+    if selector is None:
+        return 2
     framework = PmlMpiFramework(selector, args.table_dir,
                                 retry=_retry_arg(args))
     spec = get_cluster(args.cluster)
@@ -246,30 +258,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from .core import chaos
+
     if args.adapt:
-        from .core.chaos import run_adapt_chaos
-
-        report = run_adapt_chaos(seed=args.seed,
-                                 progress=not args.quiet)
-        print(report.describe())
-        return 0 if report.ok else 1
-    if args.daemon:
-        from .core.chaos import run_daemon_chaos
-
-        report = run_daemon_chaos(
+        report = chaos.run_adapt_chaos(seed=args.seed,
+                                       progress=not args.quiet)
+    elif args.daemon:
+        report = chaos.run_daemon_chaos(
             seed=args.seed, clients=args.clients,
             requests_per_client=args.requests_per_client,
             progress=not args.quiet)
-        print(report.describe())
-        return 0 if report.ok else 1
-    from .core.chaos import run_chaos
-
-    report = run_chaos(queries=args.queries, seed=args.seed,
-                       failure_rate=args.fault_rate,
-                       garbage_rate=args.garbage_rate,
-                       infeasible_rate=args.infeasible_rate,
-                       storm_length=args.storm_length,
-                       progress=not args.quiet)
+    else:
+        report = chaos.run_chaos(queries=args.queries, seed=args.seed,
+                                 progress=not args.quiet)
     print(report.describe())
     return 0 if report.ok else 1
 
@@ -391,9 +392,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     from .obs.telemetry import get_registry
     from .serve import ACTION_INVALID, SelectionQuery, SelectionService
 
-    service = SelectionService(
-        load_selector(args.bundle), get_cluster(args.cluster),
-        registry=get_registry())
+    selector = _load_bundle(args.bundle)
+    if selector is None:
+        return 2
+    service = SelectionService(selector, get_cluster(args.cluster),
+                               registry=get_registry())
     decision = service.select(SelectionQuery(
         args.collective, args.nodes, args.ppn, args.msg_size))
     if decision.action == ACTION_INVALID:
@@ -423,8 +426,11 @@ def cmd_select_batch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid query file {args.input}: {exc}", file=sys.stderr)
         return 2
+    selector = _load_bundle(args.bundle)
+    if selector is None:
+        return 2
     service = SelectionService(
-        load_selector(args.bundle), get_cluster(args.cluster),
+        selector, get_cluster(args.cluster),
         cache_size=args.cache_size, registry=get_registry())
     decisions = service.select_batch(queries)
     payload = decisions_to_jsonl(decisions)
@@ -456,7 +462,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print("--bundle is required with --selector pml",
                   file=sys.stderr)
             return 2
-        selector = load_selector(args.bundle)
+        selector = _load_bundle(args.bundle)
+        if selector is None:
+            return 2
     else:
         selector = _SELECTORS[args.selector]()
     spec = get_cluster(args.cluster)
@@ -627,20 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the whole run (queries, faults, "
                         "storms)")
-    p.add_argument("--fault-rate", type=float, default=0.02, metavar="P",
-                   help="P(inner selector raises) per query "
-                        "(default 0.02)")
-    p.add_argument("--garbage-rate", type=float, default=0.02,
-                   metavar="P",
-                   help="P(inner selector emits an unknown label) "
-                        "(default 0.02)")
-    p.add_argument("--infeasible-rate", type=float, default=0.05,
-                   metavar="P",
-                   help="P(inner selector emits a feasibility-violating "
-                        "label) (default 0.05)")
-    p.add_argument("--storm-length", type=int, default=60, metavar="N",
-                   help="length of each scripted failure storm "
-                        "(default 60 queries)")
     p.add_argument("--daemon", action="store_true",
                    help="soak the serving daemon instead: client "
                         "storms, mid-storm hot-reload, corrupt-bundle "

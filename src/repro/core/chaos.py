@@ -1,12 +1,18 @@
-"""Chaos/soak harness for the runtime guard layer.
+"""Chaos/soak harness: three seeded soaks on one skeleton.
 
-Fires tens of thousands of adversarial queries at a
-:class:`~repro.smpi.guard.GuardedSelector` — fuzzed job shapes,
-malformed inputs, far-out-of-distribution sizes, a fault-injected
-inner selector (:class:`FlakySelector`, driven by a seeded
-:class:`~repro.simcluster.conditions.FaultProfile`), corrupt-model
-labels, and scripted failure storms that trip the circuit breaker —
-and asserts the guard's invariants:
+* :func:`run_chaos` fires tens of thousands of adversarial queries at a
+  :class:`~repro.smpi.guard.GuardedSelector` — fuzzed job shapes,
+  malformed inputs, far-out-of-distribution sizes, a fault-injected
+  inner selector (:class:`FlakySelector`, driven by a seeded
+  :class:`~repro.simcluster.conditions.FaultProfile`), corrupt-model
+  labels, and scripted failure storms that trip the circuit breaker.
+* :func:`run_daemon_chaos` drives a real ``pml-mpi serve`` subprocess
+  through client storms, hot-reload, corruption, SIGKILL and drain.
+* :func:`run_adapt_chaos` drives the online adaptation loop against a
+  live daemon through poisoned feedback, drift, a worse challenger and
+  a mid-promotion SIGKILL.
+
+The guard soak asserts the guard's invariants:
 
 * nothing but typed :class:`~repro.smpi.heuristics.InvalidQueryError`
   ever escapes the guard, and only for malformed queries;
@@ -16,36 +22,73 @@ and asserts the guard's invariants:
   across the scripted storms;
 * the guard's health counters reconcile exactly with the query count.
 
-Everything is a pure function of ``seed``: the breaker runs on a
-query-tick clock, fault injection is seeded, and the query stream is
-drawn from a seeded generator — so a failure reproduces exactly.
-Exposed as ``pml-mpi chaos`` and wired into ``scripts/smoke.sh``.
+The soaks share one skeleton: a :class:`SoakReport` that records
+phases and violations (never raised, so CI prints all of them), one
+counter-partition checker (:func:`partition_violations`), one training
+step (:func:`train_chaos_selector`) and one daemon lifecycle
+(:class:`_Daemon`).  Everything is a pure function of ``seed``: the
+breaker runs on a query-tick clock, fault injection is seeded, and the
+query streams are drawn from seeded generators — so a failure
+reproduces exactly.  Exposed as ``pml-mpi chaos`` and wired into
+``scripts/smoke.sh``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
+from ..adapt import VERDICTS, AdaptationLoop, AdaptConfig, FeedbackLog
+from ..adapt.feedback import FeedbackRecord
+from ..adapt.gate import ChampionChallengerGate, shadow_evaluate
 from ..hwmodel.registry import get_cluster
-from ..simcluster.conditions import FaultProfile
+from ..obs.expo import parse_prometheus, prometheus_name
+from ..obs.live import EVENT_KINDS
+from ..obs.telemetry import MetricsRegistry, get_tracer, use_telemetry
+from ..serve.client import DaemonClient, DaemonError
+from ..serve.daemon import DAEMON_COUNTER_KEYS
+from ..serve.reload import file_crc32
+from ..serve.service import SERVE_COUNTER_KEYS
+from ..simcluster.conditions import (
+    FaultProfile,
+    NetworkConditions,
+    machine_with_conditions,
+)
 from ..simcluster.machine import Machine
 from ..smpi.collectives import base
 from ..smpi.guard import (
+    COUNTER_KEYS,
     GuardedSelector,
     InvalidQueryError,
     extract_envelopes,
 )
-from ..obs.telemetry import get_registry, get_tracer
 from ..smpi.heuristics import AlgorithmSelector
-from .dataset import collect_dataset
+from ..smpi.tuning import measured_time
+from .bundle import load_selector, save_selector
+from .dataset import (
+    CollectiveRecord,
+    TuningDataset,
+    collect_dataset,
+    feasible_configs,
+)
 from .inference import PretrainedSelector
-from .resilience import CircuitBreaker, TransientCollectionError
+from .resilience import (
+    CircuitBreaker,
+    TransientCollectionError,
+    atomic_write_text,
+)
 from .training import train_model
 
 #: Collectives the harness trains models for (the paper's pair).
@@ -56,11 +99,141 @@ CHAOS_TRAIN_CLUSTER = "RI"
 #: A label no registry knows — what a corrupted model bundle emits.
 CORRUPT_LABEL = "__corrupted_label__"
 
+#: The guard soak's fault mix: per inner call, P(raise), P(unknown
+#: label) and P(infeasible label); per query, the shares of malformed
+#: and far-OOD queries.
+FAILURE_RATE = 0.02
+GARBAGE_RATE = 0.02
+INFEASIBLE_RATE = 0.05
+INVALID_FRACTION = 0.1
+OOD_FRACTION = 0.1
+#: Queries per scripted failure storm (two per run, at 30% and 65%).
+STORM_LENGTH = 60
+#: Breaker trips to open, and its recovery time in query ticks.
+BREAKER_THRESHOLD = 5
+RECOVERY_TICKS = 150.0
+#: Trees per model: the guard soak's selector, and the daemon and
+#: adaptation soaks' hot-swappable bundles.
+GUARD_TREES = 20
+BUNDLE_TREES = 8
+
+#: Daemon error codes a storm client may legitimately receive.
+ALLOWED_DAEMON_ERRORS = ("overloaded", "draining")
+
+#: Counter families whose parts partition their total exactly,
+#: ``namespace -> (total, parts)``, read off the key tuples the owning
+#: modules export.  ``guard.champion`` / ``guard.challenger`` share the
+#: ``guard`` family.
+PARTITIONS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "guard": (COUNTER_KEYS[0], COUNTER_KEYS[1:7]),
+    "serve": (SERVE_COUNTER_KEYS[0], SERVE_COUNTER_KEYS[1:4]),
+    "serve.daemon": (DAEMON_COUNTER_KEYS[0], DAEMON_COUNTER_KEYS[1:]),
+    "adapt": ("runs", tuple(f"verdict.{v}" for v in VERDICTS)),
+    "adapt.feedback": ("loads", ("ok", "quarantined")),
+    "adapt.gate": ("evaluations", ("accepted", "rejected")),
+}
+
+#: The partitions a daemon's ``stats`` satisfy at quiescence (only the
+#: daemon's holds mid-request: a mid-batch service has counted the
+#: query but not yet its outcome).
+DAEMON_NAMESPACES = ("serve.daemon", "serve", "guard")
+
+
+def partition_violations(counters: Mapping[str, Any], context: str,
+                         *namespaces: str,
+                         exposition: bool = False) -> list[str]:
+    """Counter-partition violations of *namespaces* in one snapshot.
+
+    *counters* maps registry names (``guard.queries``) to values, or
+    with *exposition* parsed Prometheus samples
+    (``pml_guard_queries_total``).  A missing counter reads as 0.  The
+    daemon family also requires ``internal == 0``.
+    """
+    out = []
+    for namespace in namespaces:
+        total, parts = PARTITIONS[
+            "guard" if namespace.startswith("guard") else namespace]
+
+        def value(key: str) -> int:
+            name = f"{namespace}.{key}"
+            if exposition:
+                name = f"{prometheus_name(name)}_total"
+            return counters.get(name, 0)
+
+        got = {k: value(k) for k in (total, *parts)}
+        summed = sum(got[k] for k in parts)
+        if summed != got[total]:
+            out.append(f"{context}: {namespace} partition {summed} != "
+                       f"{total} {got[total]} ({got})")
+        if got.get("internal"):
+            out.append(f"{context}: {got['internal']} internal errors "
+                       f"served")
+    return out
+
 
 def _rng(seed: int, *parts: object) -> np.random.Generator:
     token = "|".join(str(p) for p in ("chaos", seed, *parts))
     return np.random.default_rng(zlib.crc32(token.encode()))
 
+
+@dataclass(kw_only=True)
+class SoakReport:
+    """What one soak observed; ``ok`` is the pass/fail verdict.
+
+    Each soak's report adds its own fields and :meth:`headline`;
+    :meth:`describe` follows it with the phases, the counters under
+    :attr:`counter_prefixes`, the first 20 violations and the banner.
+    """
+
+    banner: ClassVar[str] = "CHAOS"
+    counter_prefixes: ClassVar[tuple[str, ...]] = ("",)
+    counter_width: ClassVar[int] = 22
+
+    seed: int
+    wall_s: float = 0.0
+    #: Print each phase as it starts.
+    progress: bool = field(default=False, repr=False, compare=False)
+    phases: list[str] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def phase(self, name: str) -> None:
+        self.phases.append(name)
+        if self.progress:
+            print(f"  phase: {name}")
+
+    def expect(self, condition: bool, message: str) -> bool:
+        """Record *message* as a violation unless *condition* holds."""
+        if not condition:
+            self.violations.append(message)
+        return condition
+
+    def headline(self) -> list[str]:
+        return []
+
+    def counter_lines(self) -> list[str]:
+        return [f"  {name:<{self.counter_width}} {self.counters[name]}"
+                for name in sorted(self.counters)
+                if name.startswith(self.counter_prefixes)]
+
+    def describe(self) -> str:
+        lines = [*self.headline(),
+                 *(f"  phase: {phase}" for phase in self.phases),
+                 *self.counter_lines(),
+                 *(f"VIOLATION: {v}" for v in self.violations[:20])]
+        if len(self.violations) > 20:
+            lines.append(f"... {len(self.violations) - 20} more")
+        lines.append(f"{self.banner} {'OK' if self.ok else 'FAILED'}")
+        return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Guard soak (``pml-mpi chaos``)
+# ---------------------------------------------------------------------------
 
 class FlakySelector(AlgorithmSelector):
     """Fault-injecting wrapper around the inner (model) selector.
@@ -73,8 +246,9 @@ class FlakySelector(AlgorithmSelector):
     """
 
     def __init__(self, inner: AlgorithmSelector, faults: FaultProfile,
-                 garbage_rate: float = 0.02,
-                 infeasible_rate: float = 0.05, seed: int = 0) -> None:
+                 garbage_rate: float = GARBAGE_RATE,
+                 infeasible_rate: float = INFEASIBLE_RATE,
+                 seed: int = 0) -> None:
         self.inner = inner
         self.faults = faults
         self.garbage_rate = garbage_rate
@@ -115,42 +289,19 @@ class _BogusMachine:
     ppn: Any
 
 
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run; ``ok`` is the pass/fail verdict."""
+@dataclass(kw_only=True)
+class ChaosReport(SoakReport):
+    """Outcome of one guard soak."""
 
     queries: int
-    seed: int
-    wall_s: float = 0.0
     invalid_rejected: int = 0
     unguarded_exceptions: int = 0
     infeasible_served: int = 0
     breaker_cycles: int = 0
-    counters: dict[str, int] = field(default_factory=dict)
     breaker_transitions: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "queries": self.queries,
-            "seed": self.seed,
-            "wall_s": self.wall_s,
-            "invalid_rejected": self.invalid_rejected,
-            "unguarded_exceptions": self.unguarded_exceptions,
-            "infeasible_served": self.infeasible_served,
-            "breaker_cycles": self.breaker_cycles,
-            "counters": dict(self.counters),
-            "breaker_transitions": dict(self.breaker_transitions),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-    def describe(self) -> str:
-        lines = [
+    def headline(self) -> list[str]:
+        return [
             f"queries:              {self.queries}",
             f"seed:                 {self.seed}",
             f"wall:                 {self.wall_s:.2f} s",
@@ -159,58 +310,57 @@ class ChaosReport:
             f"infeasible served:    {self.infeasible_served}",
             f"breaker cycles:       {self.breaker_cycles}",
         ]
-        for name in sorted(self.counters):
-            lines.append(f"  {name:<22} {self.counters[name]}")
-        for key in sorted(self.breaker_transitions):
-            lines.append(f"  breaker {key:<14} "
-                         f"{self.breaker_transitions[key]}")
-        for v in self.violations[:20]:
-            lines.append(f"VIOLATION: {v}")
-        if len(self.violations) > 20:
-            lines.append(f"... {len(self.violations) - 20} more")
-        lines.append("CHAOS OK" if self.ok else "CHAOS FAILED")
-        return "\n".join(lines)
+
+    def counter_lines(self) -> list[str]:
+        return super().counter_lines() + [
+            f"  breaker {key:<14} {count}"
+            for key, count in sorted(self.breaker_transitions.items())]
 
 
-def build_chaos_selector(seed: int = 0,
-                         failure_rate: float = 0.02,
-                         garbage_rate: float = 0.02,
-                         infeasible_rate: float = 0.05,
-                         breaker_threshold: int = 5,
-                         recovery_ticks: float = 150.0,
-                         n_estimators: int = 20,
-                         clock=None
+def _fit_selector(dataset: TuningDataset, seed: int,
+                  n_estimators: int) -> PretrainedSelector:
+    return PretrainedSelector({
+        coll: train_model(dataset, coll, seed=seed,
+                          params={"n_estimators": n_estimators})
+        for coll in CHAOS_COLLECTIVES})
+
+
+def train_chaos_selector(seed: int = 0,
+                         n_estimators: int = BUNDLE_TREES
+                         ) -> tuple[TuningDataset, PretrainedSelector]:
+    """The harness's training step: collect the cached RI dataset and
+    fit one *n_estimators*-tree model per :data:`CHAOS_COLLECTIVES`.
+
+    Returns the dataset and the selector; ``save_selector`` the latter
+    to get the daemon soaks' hot-swappable bundle.
+    """
+    dataset = collect_dataset(clusters=[get_cluster(CHAOS_TRAIN_CLUSTER)],
+                              collectives=CHAOS_COLLECTIVES,
+                              progress=False)
+    return dataset, _fit_selector(dataset, seed, n_estimators)
+
+
+def build_chaos_selector(seed: int = 0, clock=None
                          ) -> tuple[GuardedSelector, FlakySelector]:
     """A guarded, fault-injected selector for the harness (and tests).
 
-    Trains harness-sized models (``n_estimators`` trees) on the cached
-    RI dataset, wraps them in a :class:`FlakySelector`, and guards the
-    result with a breaker on the given ``clock`` (defaults to wall
-    time; the harness passes a query-tick counter for determinism).
+    Trains harness-sized models on the cached RI dataset, wraps them
+    in a :class:`FlakySelector` with the module's fault mix, and
+    guards the result with a breaker on the given ``clock`` (defaults
+    to wall time; the harness passes a query-tick counter for
+    determinism).
     """
-    spec = get_cluster(CHAOS_TRAIN_CLUSTER)
-    dataset = collect_dataset(clusters=[spec],
-                              collectives=CHAOS_COLLECTIVES,
-                              progress=False)
-    models = {coll: train_model(dataset, coll, seed=seed,
-                                params={"n_estimators": n_estimators})
-              for coll in CHAOS_COLLECTIVES}
-    pretrained = PretrainedSelector(models)
+    _, pretrained = train_chaos_selector(seed, GUARD_TREES)
     flaky = FlakySelector(
-        pretrained,
-        FaultProfile(failure_rate=failure_rate, seed=seed),
-        garbage_rate=garbage_rate, infeasible_rate=infeasible_rate,
+        pretrained, FaultProfile(failure_rate=FAILURE_RATE, seed=seed),
         seed=seed)
-    breaker_kwargs: dict[str, Any] = dict(
-        failure_threshold=breaker_threshold,
-        recovery_timeout_s=recovery_ticks)
-    if clock is not None:
-        breaker_kwargs["clock"] = clock
+    breaker = CircuitBreaker(failure_threshold=BREAKER_THRESHOLD,
+                             recovery_timeout_s=RECOVERY_TICKS,
+                             clock=clock or time.monotonic)
     # The guard wraps the *flaky* selector, which has no ``models``
     # attribute — lift the envelopes off the real pretrained models.
-    guard = GuardedSelector(
-        flaky, breaker=CircuitBreaker(**breaker_kwargs),
-        envelopes=extract_envelopes(pretrained))
+    guard = GuardedSelector(flaky, breaker=breaker,
+                            envelopes=extract_envelopes(pretrained))
     return guard, flaky
 
 
@@ -231,29 +381,18 @@ def _invalid_query(rng: np.random.Generator, machine: Machine
 
 
 def run_chaos(queries: int = 10_000, seed: int = 0,
-              failure_rate: float = 0.02, garbage_rate: float = 0.02,
-              infeasible_rate: float = 0.05,
-              invalid_fraction: float = 0.1, ood_fraction: float = 0.1,
-              storm_length: int = 60, breaker_threshold: int = 5,
-              recovery_ticks: float = 150.0,
               progress: bool = False) -> ChaosReport:
     """Soak the guard layer with *queries* adversarial queries.
 
     Two scripted failure storms (at 30% and 65% of the run) force the
-    inner selector to fail on every call for ``storm_length`` queries,
-    driving the breaker open; the query-tick clock then walks it
-    through half-open recovery.  Returns a :class:`ChaosReport`; the
-    run itself never raises on guard violations — they are recorded so
-    CI can print all of them.
+    inner selector to fail on every call for :data:`STORM_LENGTH`
+    queries, driving the breaker open; the query-tick clock then walks
+    it through half-open recovery.
     """
     if queries < 1:
         raise ValueError("queries must be >= 1")
     tick = [0.0]
-    guard, flaky = build_chaos_selector(
-        seed=seed, failure_rate=failure_rate, garbage_rate=garbage_rate,
-        infeasible_rate=infeasible_rate,
-        breaker_threshold=breaker_threshold,
-        recovery_ticks=recovery_ticks, clock=lambda: tick[0])
+    guard, flaky = build_chaos_selector(seed=seed, clock=lambda: tick[0])
     report = ChaosReport(queries=queries, seed=seed)
 
     # Query machines: in-distribution RI shapes, remap-bait odd shapes
@@ -265,17 +404,11 @@ def run_chaos(queries: int = 10_000, seed: int = 0,
                 Machine(rome, 6, 2)]
     ood_machines = [Machine(get_cluster("Frontera"), 2048, 16),
                     Machine(get_cluster("Frontera"), 512, 56)]
-
-    storms = []
-    for frac in (0.30, 0.65):
-        start = int(queries * frac)
-        storms.append((start, start + storm_length))
+    storms = [(start, start + STORM_LENGTH)
+              for start in (int(queries * 0.30), int(queries * 0.65))]
 
     t0 = time.perf_counter()
     expected_invalid = 0
-    tracer = get_tracer()
-    soak = tracer.start_span("chaos.soak", queries=queries, seed=seed) \
-        if tracer.enabled else None
     for i in range(queries):
         tick[0] = float(i)
         flaky.force_fail = any(a <= i < b for a, b in storms)
@@ -287,7 +420,7 @@ def run_chaos(queries: int = 10_000, seed: int = 0,
             # Storm queries must reach the inner selector to trip the
             # breaker, so keep them well-formed and in-distribution.
             machine, msg_size = machines[0], int(rng.integers(1, 1 << 16))
-        elif u < invalid_fraction:
+        elif u < INVALID_FRACTION:
             expected_invalid += 1
             collective, machine, msg_size = _invalid_query(
                 rng, machines[int(rng.integers(len(machines)))])
@@ -305,7 +438,7 @@ def run_chaos(queries: int = 10_000, seed: int = 0,
                     f"query {i}: invalid input accepted "
                     f"({collective!r}, msg={msg_size!r})")
             continue
-        elif u < invalid_fraction + ood_fraction:
+        elif u < INVALID_FRACTION + OOD_FRACTION:
             machine = ood_machines[int(rng.integers(len(ood_machines)))]
             msg_size = int(rng.integers(1 << 24, 1 << 28)) \
                 if rng.uniform() < 0.5 else int(rng.integers(1, 1 << 20))
@@ -334,133 +467,30 @@ def run_chaos(queries: int = 10_000, seed: int = 0,
                   f"{len(report.violations)} violations")
 
     report.wall_s = time.perf_counter() - t0
-    report.counters = dict(guard.counters)
+    c = report.counters = guard.counters
     report.breaker_transitions = guard.breaker.transition_counts()
     report.breaker_cycles = guard.breaker.cycles()
-    if soak is not None:
-        soak.attributes["violations"] = len(report.violations)
-        tracer.finish_span(soak)
-    # Mirror the guard's per-instance counters into the ambient
-    # registry so a traced chaos run exports them alongside the spans.
-    registry = get_registry()
-    for name, value in report.counters.items():
-        registry.counter(f"chaos.guard.{name}").inc(value)
 
     # -- cross-cutting invariants ---------------------------------------
-    c = guard.counters
-    partition = (c["invalid"] + c["served_model"] + c["remapped"]
-                 + c["ood_fallback"] + c["breaker_fallback"]
-                 + c["error_fallback"])
-    if partition != c["queries"] or c["queries"] != queries:
-        report.violations.append(
-            f"counters do not reconcile: partition={partition}, "
-            f"queries counter={c['queries']}, fired={queries}")
-    if c["invalid"] != expected_invalid:
-        report.violations.append(
-            f"invalid counter {c['invalid']} != expected "
-            f"{expected_invalid}")
-    if storms and storms[0][1] < queries and report.breaker_cycles < 1:
-        report.violations.append(
-            "breaker never completed an open->half-open->closed cycle")
+    report.violations.extend(partition_violations(
+        guard.registry.counters(), "counters", "guard"))
+    report.expect(c["queries"] == queries,
+                  f"queries counter {c['queries']} != fired {queries}")
+    report.expect(c["invalid"] == expected_invalid,
+                  f"invalid counter {c['invalid']} != expected "
+                  f"{expected_invalid}")
+    report.expect(storms[0][1] >= queries or report.breaker_cycles >= 1,
+                  "breaker never completed an open->half-open->closed "
+                  "cycle")
     return report
 
 
 # ---------------------------------------------------------------------------
-# Daemon soak (``pml-mpi chaos --daemon``)
+# The daemon lifecycle and storm clients shared by the daemon soaks
 # ---------------------------------------------------------------------------
-
-#: Daemon error codes a storm client may legitimately receive.
-ALLOWED_DAEMON_ERRORS = ("overloaded", "draining")
-
-
-@dataclass
-class DaemonChaosReport:
-    """Outcome of one daemon soak; ``ok`` is the pass/fail verdict."""
-
-    seed: int
-    clients: int
-    requests_per_client: int
-    wall_s: float = 0.0
-    requests_sent: int = 0
-    ok_responses: int = 0
-    deadline_floored: int = 0
-    shed: int = 0
-    invalid_decisions: int = 0
-    reloads_observed: int = 0
-    scrapes: int = 0
-    phases: list[str] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "clients": self.clients,
-            "requests_per_client": self.requests_per_client,
-            "wall_s": self.wall_s,
-            "requests_sent": self.requests_sent,
-            "ok_responses": self.ok_responses,
-            "deadline_floored": self.deadline_floored,
-            "shed": self.shed,
-            "invalid_decisions": self.invalid_decisions,
-            "reloads_observed": self.reloads_observed,
-            "scrapes": self.scrapes,
-            "phases": list(self.phases),
-            "counters": dict(self.counters),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"seed:               {self.seed}",
-            f"clients:            {self.clients} x "
-            f"{self.requests_per_client} requests",
-            f"wall:               {self.wall_s:.2f} s",
-            f"requests sent:      {self.requests_sent}",
-            f"ok responses:       {self.ok_responses}",
-            f"deadline-floored:   {self.deadline_floored}",
-            f"shed (overloaded):  {self.shed}",
-            f"invalid decisions:  {self.invalid_decisions}",
-            f"reloads observed:   {self.reloads_observed}",
-            f"scrapes answered:   {self.scrapes}",
-        ]
-        for phase in self.phases:
-            lines.append(f"  phase: {phase}")
-        for name in sorted(self.counters):
-            if name.startswith("serve.daemon."):
-                lines.append(f"  {name:<32} {self.counters[name]}")
-        for v in self.violations[:20]:
-            lines.append(f"VIOLATION: {v}")
-        if len(self.violations) > 20:
-            lines.append(f"... {len(self.violations) - 20} more")
-        lines.append("DAEMON CHAOS OK" if self.ok
-                     else "DAEMON CHAOS FAILED")
-        return "\n".join(lines)
-
-
-def _train_chaos_bundle(path, seed: int, n_estimators: int = 8) -> None:
-    """Write a small RI bundle (the harness's hot-swappable artifact)."""
-    from .bundle import save_selector
-
-    spec = get_cluster(CHAOS_TRAIN_CLUSTER)
-    dataset = collect_dataset(clusters=[spec],
-                              collectives=CHAOS_COLLECTIVES,
-                              progress=False)
-    models = {coll: train_model(dataset, coll, seed=seed,
-                                params={"n_estimators": n_estimators})
-              for coll in CHAOS_COLLECTIVES}
-    save_selector(PretrainedSelector(models), path)
-
 
 def _daemon_env() -> dict[str, str]:
     """Subprocess env whose PYTHONPATH can import this very ``repro``."""
-    import os
-
     import repro
 
     src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -470,98 +500,10 @@ def _daemon_env() -> dict[str, str]:
     return env
 
 
-def _start_daemon(bundle: Path, socket_path: Path, state_dir: Path,
-                  ready: Path, log_path: Path):
-    """Launch ``pml-mpi serve`` as a real subprocess (SIGKILL-able)."""
-    import subprocess
-    import sys
-
-    cmd = [sys.executable, "-m", "repro.cli", "serve",
-           CHAOS_TRAIN_CLUSTER,
-           "--bundle", str(bundle),
-           "--state-dir", str(state_dir),
-           "--socket", str(socket_path),
-           "--ready-file", str(ready),
-           "--reload-poll-s", "0.1",
-           "--max-inflight", "2",
-           "--deadline-ms", "10000",
-           "--drain-timeout-s", "5"]
-    log = open(log_path, "ab")
-    try:
-        return subprocess.Popen(cmd, stdout=log,
-                                stderr=subprocess.STDOUT,
-                                env=_daemon_env())
-    finally:
-        log.close()  # the child holds its own duplicated fd
-
-
-def _wait_ready(ready: Path, proc, timeout_s: float = 120.0
-                ) -> dict[str, Any] | None:
-    """Poll for the daemon's readiness record; ``None`` on death or
-    timeout."""
-    import json
-
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if ready.exists():
-            try:
-                return json.loads(ready.read_text())
-            except (OSError, json.JSONDecodeError):
-                pass  # mid-write; retry
-        if proc.poll() is not None:
-            return None
-        time.sleep(0.05)
-    return None
-
-
-def _daemon_partition_violations(counters: dict[str, int],
-                                 context: str,
-                                 quiescent: bool) -> list[str]:
-    """Counter-partition invariants over one ``stats`` snapshot.
-
-    The daemon partition holds at *every* observation (terminal
-    counters are bumped atomically with ``requests``); the serve/guard
-    partitions only at quiescence (a mid-batch service has counted the
-    query but not yet its outcome).
-    """
-    out: list[str] = []
-    d = {k: counters.get(f"serve.daemon.{k}", 0)
-         for k in ("requests", "ok", "deadline_floor", "bad_request",
-                   "overloaded", "draining", "internal")}
-    parts = (d["ok"] + d["deadline_floor"] + d["bad_request"]
-             + d["overloaded"] + d["draining"] + d["internal"])
-    if parts != d["requests"]:
-        out.append(f"{context}: daemon partition {parts} != "
-                   f"requests {d['requests']} ({d})")
-    if d["internal"]:
-        out.append(f"{context}: internal errors served: "
-                   f"{d['internal']}")
-    if not quiescent:
-        return out
-    s = {k: counters.get(f"serve.{k}", 0)
-         for k in ("queries", "cache_hits", "deduped", "cache_misses")}
-    if s["cache_hits"] + s["deduped"] + s["cache_misses"] \
-            != s["queries"]:
-        out.append(f"{context}: serve partition does not reconcile "
-                   f"({s})")
-    g = {k: counters.get(f"guard.{k}", 0)
-         for k in ("queries", "invalid", "served_model", "remapped",
-                   "ood_fallback", "breaker_fallback",
-                   "error_fallback")}
-    if (g["invalid"] + g["served_model"] + g["remapped"]
-            + g["ood_fallback"] + g["breaker_fallback"]
-            + g["error_fallback"]) != g["queries"]:
-        out.append(f"{context}: guard partition does not reconcile "
-                   f"({g})")
-    return out
-
-
 class _StormStats:
-    """Thread-safe tally shared by the storm clients."""
+    """Thread-safe tally shared by a soak's clients."""
 
     def __init__(self) -> None:
-        import threading
-
         self.lock = threading.Lock()
         self.sent = 0
         self.ok = 0
@@ -570,9 +512,110 @@ class _StormStats:
         self.invalid = 0
         self.violations: list[str] = []
 
-    def violation(self, message: str) -> None:
+    def violation(self, *messages: str) -> None:
         with self.lock:
-            self.violations.append(message)
+            self.violations.extend(messages)
+
+
+class _Daemon:
+    """One soak's temp dir and its ``pml-mpi serve`` subprocess.
+
+    Entering makes the temp dir that holds the bundle, socket, ready
+    file and daemon log.  :meth:`boot` starts the daemon and waits for
+    its readiness record, :meth:`drain` shuts it down gracefully.
+    Exiting kills a daemon that is still running, adds the client
+    tally's violations to the report, records the soak's wall time and
+    removes the temp dir.
+    """
+
+    def __init__(self, report: SoakReport, prefix: str) -> None:
+        self.report = report
+        self.prefix = prefix
+        self.tally = _StormStats()
+        self.proc: subprocess.Popen | None = None
+
+    def __enter__(self) -> _Daemon:
+        self.t0 = time.perf_counter()
+        self.tmp = Path(tempfile.mkdtemp(prefix=self.prefix))
+        self.bundle = self.tmp / "bundle.json"
+        self.socket = self.tmp / "daemon.sock"
+        self.ready = self.tmp / "ready.json"
+        self.log = self.tmp / "daemon.log"
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self.kill()
+        finally:
+            self.report.violations.extend(self.tally.violations)
+            self.report.wall_s = time.perf_counter() - self.t0
+            shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def boot(self, state_dir: Path,
+             failure: str = "daemon never became ready"
+             ) -> dict[str, Any] | None:
+        """Start ``pml-mpi serve`` on the bundle; its readiness record,
+        or ``None`` (a violation carrying the log tail) when it dies or
+        is not ready within 120 s."""
+        self.ready.unlink(missing_ok=True)
+        cmd = [sys.executable, "-m", "repro.cli", "serve",
+               CHAOS_TRAIN_CLUSTER,
+               "--bundle", str(self.bundle),
+               "--state-dir", str(state_dir),
+               "--socket", str(self.socket),
+               "--ready-file", str(self.ready),
+               "--reload-poll-s", "0.1",
+               "--max-inflight", "2",
+               "--deadline-ms", "10000",
+               "--drain-timeout-s", "5"]
+        with open(self.log, "ab") as log:  # the child dups the fd
+            self.proc = subprocess.Popen(cmd, stdout=log,
+                                         stderr=subprocess.STDOUT,
+                                         env=_daemon_env())
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            if self.ready.exists():
+                try:
+                    return json.loads(self.ready.read_text())
+                except (OSError, json.JSONDecodeError):
+                    pass  # mid-write; retry
+            if self.proc.poll() is not None:
+                break
+            time.sleep(0.05)
+        self.report.violations.append(f"{failure}: {self.log_tail()}")
+        return None
+
+    def kill(self) -> None:
+        if self.proc is not None and self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait(timeout=30)
+
+    def drain(self) -> None:
+        """Graceful ``shutdown``: the daemon must exit 0 within 30 s
+        and remove its socket."""
+        try:
+            with DaemonClient(self.socket, timeout_s=30.0) as client:
+                client.shutdown()
+        except Exception as exc:
+            self.report.violations.append(
+                f"shutdown op failed: {type(exc).__name__}: {exc}")
+        try:
+            rc = self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.report.violations.append(
+                "daemon did not exit within 30 s of shutdown")
+            return
+        self.report.expect(rc == 0, f"drained daemon exited with "
+                                    f"rc={rc}: {self.log_tail()}")
+        self.report.expect(not self.socket.exists(),
+                           "socket file left behind after drain")
+
+    def log_tail(self, lines: int = 12) -> str:
+        try:
+            return " | ".join(self.log.read_text(
+                errors="replace").splitlines()[-lines:])
+        except OSError:
+            return "(no daemon log)"
 
 
 def _check_select_response(response: dict[str, Any], n_queries: int,
@@ -596,14 +639,24 @@ def _check_select_response(response: dict[str, Any], n_queries: int,
                 stats.invalid += 1
 
 
+def _valid_queries(rng: np.random.Generator,
+                   n: int) -> list[dict[str, Any]]:
+    """Well-formed RI-shaped query dicts (in-distribution sizes)."""
+    return [{
+        "collective": CHAOS_COLLECTIVES[int(rng.integers(
+            len(CHAOS_COLLECTIVES)))],
+        "nodes": 2,
+        "ppn": int(rng.choice([4, 8])),
+        "msg_size": int(2 ** rng.integers(0, 21)),
+    } for _ in range(n)]
+
+
 def _storm_worker(socket_path: Path, cid: int, requests: int,
                   seed: int, stats: _StormStats) -> None:
     """One storm client: a seeded mix of valid batches, semantically
     invalid queries, tiny-deadline requests, pings and stats calls.
     Transport errors and non-allowed error codes are violations — a
     serving daemon never slams the door on a well-behaved client."""
-    from ..serve.client import DaemonClient, DaemonError
-
     try:
         client = DaemonClient(socket_path, timeout_s=60.0)
     except OSError as exc:
@@ -620,11 +673,9 @@ def _storm_worker(socket_path: Path, cid: int, requests: int,
                 if u < 0.08:
                     client.ping()
                 elif u < 0.16:
-                    response = client.stats()
-                    for v in _daemon_partition_violations(
-                            response.get("counters", {}), context,
-                            quiescent=False):
-                        stats.violation(v)
+                    stats.violation(*partition_violations(
+                        client.stats().get("counters", {}), context,
+                        "serve.daemon"))
                 elif u < 0.28:
                     # Semantic junk must come back as invalid
                     # *decisions*, never as a protocol error.
@@ -667,23 +718,9 @@ def _storm_worker(socket_path: Path, cid: int, requests: int,
         client.close()
 
 
-def _valid_queries(rng: np.random.Generator,
-                   n: int) -> list[dict[str, Any]]:
-    """Well-formed RI-shaped query dicts (in-distribution sizes)."""
-    return [{
-        "collective": CHAOS_COLLECTIVES[int(rng.integers(
-            len(CHAOS_COLLECTIVES)))],
-        "nodes": 2,
-        "ppn": int(rng.choice([4, 8])),
-        "msg_size": int(2 ** rng.integers(0, 21)),
-    } for _ in range(n)]
-
-
 def _poll_stats(socket_path: Path, predicate, timeout_s: float = 30.0
                 ) -> dict[str, Any] | None:
     """Fresh-connection stats polls until *predicate* accepts one."""
-    from ..serve.client import DaemonClient
-
     deadline = time.monotonic() + timeout_s
     last: dict[str, Any] | None = None
     while time.monotonic() < deadline:
@@ -732,28 +769,17 @@ def _poll_quiescent(socket_path: Path, timeout_s: float = 30.0
     return _poll_stats(socket_path, settled, timeout_s=timeout_s)
 
 
-#: Terminal counters of the daemon partition; in any internally
-#: consistent Prometheus scrape their ``_total`` samples must sum to
-#: ``pml_serve_daemon_requests_total`` exactly (the exposition is
-#: rendered synchronously on the dispatch thread).
-_DAEMON_TERMINALS = ("ok", "deadline_floor", "bad_request",
-                     "overloaded", "draining", "internal")
-
-
 def _scrape_once(client: Any, context: str, stats: _StormStats) -> bool:
     """One observation of the live introspection plane: ``metrics``,
     ``tail`` and ``health`` over an existing connection.
 
     Checks the scrape-under-storm invariants: the Prometheus export
-    must parse, its daemon-partition totals must reconcile *within the
-    single scrape* (terminal counters sum to requests, zero internal
-    errors), the tail must be a bounded list of well-formed events,
+    must parse, its daemon partition must reconcile *within the single
+    scrape* (the exposition is rendered synchronously on the dispatch
+    thread), the tail must be a bounded list of well-formed events,
     and the health verdict must come from the closed set.  Returns
     True when the three ops all answered (violations may still have
     been recorded about their payloads)."""
-    from ..obs.expo import parse_prometheus
-    from ..obs.live import EVENT_KINDS
-
     try:
         metrics = client.metrics()
         tail = client.tail(16)
@@ -767,16 +793,9 @@ def _scrape_once(client: Any, context: str, stats: _StormStats) -> bool:
     except ValueError as exc:
         stats.violation(f"{context}: unparseable exposition: {exc}")
         return True
-    requests = samples.get("pml_serve_daemon_requests_total", 0)
-    terminals = {k: samples.get(f"pml_serve_daemon_{k}_total", 0)
-                 for k in _DAEMON_TERMINALS}
-    if sum(terminals.values()) != requests:
-        stats.violation(
-            f"{context}: exposition partition {terminals} does not "
-            f"sum to requests {requests}")
-    if terminals["internal"]:
-        stats.violation(f"{context}: exposition shows "
-                        f"{terminals['internal']} internal errors")
+    stats.violation(*partition_violations(
+        samples, f"{context}: exposition", "serve.daemon",
+        exposition=True))
     events = tail.get("events")
     if not isinstance(events, list) or len(events) > 16:
         stats.violation(
@@ -799,15 +818,13 @@ def _scrape_once(client: Any, context: str, stats: _StormStats) -> bool:
     return True
 
 
-def _scrape_worker(socket_path: Path, stop: Any, stats: _StormStats,
-                   counted: list[int]) -> None:
+def _scrape_worker(socket_path: Path, stop: threading.Event,
+                   stats: _StormStats, counted: list[int]) -> None:
     """Scrape loop run alongside the client storm: fresh connection
     per iteration (a scraper reconnects, it does not hold a socket
     open across reloads), counting only scrapes where all three ops
     answered.  Connection refusals are tolerated — the daemon may be
     shedding — but an accepted connection must answer."""
-    from ..serve.client import DaemonClient
-
     i = 0
     while not stop.is_set():
         i += 1
@@ -824,6 +841,44 @@ def _scrape_worker(socket_path: Path, stop: Any, stats: _StormStats,
         time.sleep(0.02)
 
 
+# ---------------------------------------------------------------------------
+# Daemon soak (``pml-mpi chaos --daemon``)
+# ---------------------------------------------------------------------------
+
+@dataclass(kw_only=True)
+class DaemonChaosReport(SoakReport):
+    """Outcome of one daemon soak."""
+
+    banner: ClassVar[str] = "DAEMON CHAOS"
+    counter_prefixes: ClassVar[tuple[str, ...]] = ("serve.daemon.",)
+    counter_width: ClassVar[int] = 32
+
+    clients: int
+    requests_per_client: int
+    requests_sent: int = 0
+    ok_responses: int = 0
+    deadline_floored: int = 0
+    shed: int = 0
+    invalid_decisions: int = 0
+    reloads_observed: int = 0
+    scrapes: int = 0
+
+    def headline(self) -> list[str]:
+        return [
+            f"seed:               {self.seed}",
+            f"clients:            {self.clients} x "
+            f"{self.requests_per_client} requests",
+            f"wall:               {self.wall_s:.2f} s",
+            f"requests sent:      {self.requests_sent}",
+            f"ok responses:       {self.ok_responses}",
+            f"deadline-floored:   {self.deadline_floored}",
+            f"shed (overloaded):  {self.shed}",
+            f"invalid decisions:  {self.invalid_decisions}",
+            f"reloads observed:   {self.reloads_observed}",
+            f"scrapes answered:   {self.scrapes}",
+        ]
+
+
 def run_daemon_chaos(seed: int = 0, clients: int = 4,
                      requests_per_client: int = 40,
                      progress: bool = False) -> DaemonChaosReport:
@@ -835,66 +890,36 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
     swap (reload must reject, old snapshot keeps serving) → SIGKILL →
     crash-safe restart in the same state dir (stale lock recovered,
     the killer bundle quarantined, heuristic floor serving) →
-    graceful ``shutdown`` drain.  Violations are recorded, never
-    raised, so CI prints all of them.
+    graceful ``shutdown`` drain.
     """
-    import json
-    import os
-    import shutil
-    import subprocess
-    import tempfile
-    import threading
-
-    from ..obs.expo import parse_prometheus
-    from ..serve.client import DaemonClient, DaemonError
-    from .resilience import atomic_write_text
-
     if clients < 1 or requests_per_client < 1:
         raise ValueError("clients and requests_per_client must be >= 1")
     report = DaemonChaosReport(seed=seed, clients=clients,
-                               requests_per_client=requests_per_client)
-    t0 = time.perf_counter()
-    tmp = Path(tempfile.mkdtemp(prefix="pml-daemon-chaos-"))
-    proc = None
+                               requests_per_client=requests_per_client,
+                               progress=progress)
+    with _Daemon(report, "pml-daemon-chaos-") as daemon:
+        stats = daemon.tally
+        bundle, socket_path = daemon.bundle, daemon.socket
+        next_bundle = daemon.tmp / "bundle.v2.json"
+        state_dir = daemon.tmp / "state"
 
-    def phase(name: str) -> None:
-        report.phases.append(name)
-        if progress:
-            print(f"  phase: {name}")
+        report.phase("train bundles (v1, v2)")
+        save_selector(train_chaos_selector(seed)[1], bundle)
+        save_selector(train_chaos_selector(seed + 1)[1], next_bundle)
+        report.expect(bundle.read_bytes() != next_bundle.read_bytes(),
+                      "v1 and v2 bundles are byte-identical; hot-swap "
+                      "cannot be observed")
 
-    try:
-        bundle = tmp / "bundle.json"
-        next_bundle = tmp / "bundle.v2.json"
-        socket_path = tmp / "daemon.sock"
-        state_dir = tmp / "state"
-        ready = tmp / "ready.json"
-        log_path = tmp / "daemon.log"
-
-        phase("train bundles (v1, v2)")
-        _train_chaos_bundle(bundle, seed=seed)
-        _train_chaos_bundle(next_bundle, seed=seed + 1)
-        if file_checksum_equal(bundle, next_bundle):
-            report.violations.append(
-                "v1 and v2 bundles are byte-identical; hot-swap "
-                "cannot be observed")
-
-        phase("boot daemon")
-        proc = _start_daemon(bundle, socket_path, state_dir, ready,
-                             log_path)
-        boot = _wait_ready(ready, proc)
+        report.phase("boot daemon")
+        boot = daemon.boot(state_dir)
         if boot is None:
-            report.violations.append(
-                "daemon never became ready: "
-                + _tail(log_path))
             return report
         v0 = int(boot.get("snapshot", 0))
-        if boot.get("source") != "bundle":
-            report.violations.append(
-                f"boot source {boot.get('source')!r}, expected "
-                f"'bundle'")
+        report.expect(boot.get("source") == "bundle",
+                      f"boot source {boot.get('source')!r}, expected "
+                      f"'bundle'")
 
-        phase(f"client storm ({clients} x {requests_per_client})")
-        stats = _StormStats()
+        report.phase(f"client storm ({clients} x {requests_per_client})")
         threads = [
             threading.Thread(
                 target=_storm_worker,
@@ -905,7 +930,7 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
         for t in threads:
             t.start()
 
-        phase("mid-storm scrape loop (metrics/tail/health)")
+        report.phase("mid-storm scrape loop (metrics/tail/health)")
         scrape_stop = threading.Event()
         scrape_count = [0]
         scraper = threading.Thread(
@@ -914,7 +939,7 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
             name="scraper")
         scraper.start()
 
-        phase("mid-storm hot-reload (atomic swap to v2)")
+        report.phase("mid-storm hot-reload (atomic swap to v2)")
         # Deadline-bounded poll instead of a fixed sleep: swap once the
         # storm is demonstrably underway (every client has landed at
         # least one request).  A finished storm also satisfies this —
@@ -927,10 +952,9 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
         swapped = _poll_stats(
             socket_path,
             lambda s: int(s["snapshot"]["version"]) > v0)
-        if swapped is None:
-            report.violations.append(
-                "hot-reload to the v2 bundle was never observed")
-        else:
+        if report.expect(swapped is not None,
+                         "hot-reload to the v2 bundle was never "
+                         "observed"):
             report.reloads_observed += 1
 
         for t in threads:
@@ -938,28 +962,24 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
         scrape_stop.set()
         scraper.join()
         report.scrapes = scrape_count[0]
-        if report.scrapes < 1:
-            report.violations.append(
-                "no introspection scrape was answered during the "
-                "storm window")
+        report.expect(report.scrapes >= 1,
+                      "no introspection scrape was answered during the "
+                      "storm window")
         report.requests_sent = stats.sent
         report.ok_responses = stats.ok
         report.deadline_floored = stats.floored
         report.shed = stats.shed
         report.invalid_decisions = stats.invalid
-        copied_violations = len(stats.violations)
-        report.violations.extend(stats.violations[:copied_violations])
 
-        phase("quiescent partition check")
-        quiet = _poll_quiescent(socket_path, timeout_s=30.0)
-        if quiet is None:
-            report.violations.append("stats unavailable after storm")
-        else:
-            report.violations.extend(_daemon_partition_violations(
-                quiet.get("counters", {}), "post-storm",
-                quiescent=True))
+        report.phase("quiescent partition check")
+        quiet = _poll_quiescent(socket_path)
+        if report.expect(quiet is not None,
+                         "stats unavailable after storm"):
+            report.counters = dict(quiet.get("counters", {}))
+            report.violations.extend(partition_violations(
+                report.counters, "post-storm", *DAEMON_NAMESPACES))
 
-        phase("quiescent exposition cross-check")
+        report.phase("quiescent exposition cross-check")
         # At quiescence the Prometheus export must agree *exactly* with
         # the stats counters: over one connection, a `metrics` scrape
         # issued right after `stats` sees precisely the stats request's
@@ -969,35 +989,28 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
         try:
             with DaemonClient(socket_path, timeout_s=30.0) as client:
                 before = client.stats().get("counters", {})
-                body = client.metrics().get("body", "")
-                samples = parse_prometheus(body)
-                expect = {
-                    "requests": before.get(
-                        "serve.daemon.requests", 0) + 1,
-                    "ok": before.get("serve.daemon.ok", 0) + 1}
-                for key in ("requests", *_DAEMON_TERMINALS):
-                    want = expect.get(key, before.get(
-                        f"serve.daemon.{key}", 0))
-                    got = samples.get(
-                        f"pml_serve_daemon_{key}_total", 0)
-                    if got != want:
-                        report.violations.append(
-                            f"quiescent scrape: exposition "
-                            f"serve.daemon.{key} = {got}, stats "
-                            f"imply {want}")
+                samples = parse_prometheus(
+                    client.metrics().get("body", ""))
+            for key in DAEMON_COUNTER_KEYS:
+                name = f"serve.daemon.{key}"
+                want = before.get(name, 0) + (key in ("requests", "ok"))
+                got = samples.get(f"{prometheus_name(name)}_total", 0)
+                report.expect(got == want,
+                              f"quiescent scrape: exposition {name} = "
+                              f"{got}, stats imply {want}")
         except Exception as exc:
             report.violations.append(
                 f"quiescent exposition cross-check failed: "
                 f"{type(exc).__name__}: {exc}")
 
-        phase("corrupt-bundle swap (reload must reject)")
+        report.phase("corrupt-bundle swap (reload must reject)")
         atomic_write_text(bundle, '{"broken')
         try:
             with DaemonClient(socket_path, timeout_s=30.0) as client:
                 result = client.reload()
-                if result.get("status") != "rejected":
-                    report.violations.append(
-                        f"corrupt reload not rejected: {result!r}")
+                report.expect(result.get("status") == "rejected",
+                              f"corrupt reload not rejected: "
+                              f"{result!r}")
                 # The storm may have tripped the admission breaker;
                 # retry through its cooldown (recovery_timeout_s plus
                 # one half-open probe) under a hard deadline instead of
@@ -1020,55 +1033,44 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
                 f"daemon unusable after corrupt swap: "
                 f"{type(exc).__name__}: {exc}")
 
-        phase("SIGKILL daemon")
-        proc.kill()
-        proc.wait(timeout=30)
+        report.phase("SIGKILL daemon")
+        daemon.kill()
 
-        phase("crash-safe restart (same state dir, corrupt bundle)")
-        ready.unlink(missing_ok=True)
-        proc = _start_daemon(bundle, socket_path, state_dir, ready,
-                             log_path)
-        reboot = _wait_ready(ready, proc)
+        report.phase("crash-safe restart (same state dir, corrupt bundle)")
+        reboot = daemon.boot(state_dir,
+                             "daemon did not recover after SIGKILL")
         if reboot is None:
-            report.violations.append(
-                "daemon did not recover after SIGKILL: "
-                + _tail(log_path))
             return report
-        if reboot.get("source") != "heuristic-floor":
-            report.violations.append(
-                f"restart source {reboot.get('source')!r}, expected "
-                f"'heuristic-floor' (corrupt bundle must not load)")
-        if bundle.exists():
-            report.violations.append(
-                "corrupt bundle was not quarantined at boot")
-        if not any(p.name.startswith("bundle.json.corrupt")
-                   for p in tmp.iterdir()):
-            report.violations.append(
-                "no *.corrupt quarantine file after crash restart")
+        report.expect(reboot.get("source") == "heuristic-floor",
+                      f"restart source {reboot.get('source')!r}, "
+                      f"expected 'heuristic-floor' (corrupt bundle must "
+                      f"not load)")
+        report.expect(not bundle.exists(),
+                      "corrupt bundle was not quarantined at boot")
+        report.expect(any(p.name.startswith("bundle.json.corrupt")
+                          for p in daemon.tmp.iterdir()),
+                      "no *.corrupt quarantine file after crash restart")
         try:
             with DaemonClient(socket_path, timeout_s=30.0) as client:
-                after = client.stats()
-                counters = after.get("counters", {})
-                if counters.get("serve.daemon.crash_recovered", 0) < 1:
-                    report.violations.append(
-                        "restart did not count crash_recovered")
-                if counters.get("serve.daemon.quarantined_boot", 0) < 1:
-                    report.violations.append(
-                        "restart did not count quarantined_boot")
+                counters = client.stats().get("counters", {})
+                report.expect(
+                    counters.get("serve.daemon.crash_recovered", 0) >= 1,
+                    "restart did not count crash_recovered")
+                report.expect(
+                    counters.get("serve.daemon.quarantined_boot", 0) >= 1,
+                    "restart did not count quarantined_boot")
                 response = client.select(_valid_queries(
                     _rng(seed, "post-restart"), 4))
                 _check_select_response(response, 4, "post-restart",
                                        stats)
-                report.violations.extend(
-                    _daemon_partition_violations(
-                        client.stats().get("counters", {}),
-                        "post-restart", quiescent=True))
+                report.violations.extend(partition_violations(
+                    client.stats().get("counters", {}), "post-restart",
+                    *DAEMON_NAMESPACES))
                 # The introspection plane must come back with the
                 # process: a scrape burst against the restarted
                 # daemon, same invariants as the mid-storm loop.
                 for j in range(3):
-                    if _scrape_once(client,
-                                    f"post-restart scrape {j}",
+                    if _scrape_once(client, f"post-restart scrape {j}",
                                     stats):
                         report.scrapes += 1
         except Exception as exc:
@@ -1076,7 +1078,7 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
                 f"restarted daemon unusable: "
                 f"{type(exc).__name__}: {exc}")
 
-        phase("protocol garbage (must answer bad-request)")
+        report.phase("protocol garbage (must answer bad-request)")
         try:
             with DaemonClient(socket_path, timeout_s=30.0) as client:
                 client._file.write(b"this is not json\n")
@@ -1084,78 +1086,23 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
                 raw = client._file.readline()
                 answer = json.loads(raw) if raw else {}
                 code = (answer.get("error") or {}).get("code")
-                if answer.get("ok") is not False \
-                        or code != "bad-request":
-                    report.violations.append(
-                        f"garbage line answered with {answer!r}")
+                report.expect(answer.get("ok") is False
+                              and code == "bad-request",
+                              f"garbage line answered with {answer!r}")
         except Exception as exc:
             report.violations.append(
                 f"garbage line killed the connection: "
                 f"{type(exc).__name__}: {exc}")
 
-        phase("graceful shutdown (drain)")
-        try:
-            with DaemonClient(socket_path, timeout_s=30.0) as client:
-                client.shutdown()
-        except Exception as exc:
-            report.violations.append(
-                f"shutdown op failed: {type(exc).__name__}: {exc}")
-        try:
-            rc = proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=30)
-            report.violations.append(
-                "daemon did not exit within 30 s of shutdown")
-        else:
-            if rc != 0:
-                report.violations.append(
-                    f"drained daemon exited with rc={rc}: "
-                    + _tail(log_path))
-        if socket_path.exists():
-            report.violations.append(
-                "socket file left behind after drain")
-        proc = None
-        # Post-storm checks reuse the storm tally object; pick up any
-        # violations they appended after the first copy.
-        report.violations.extend(stats.violations[copied_violations:])
-        report.counters = dict(
-            (quiet or {}).get("counters", {})) if quiet else {}
-    finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
-        report.wall_s = time.perf_counter() - t0
-        # Mirror headline tallies into the ambient registry so a
-        # traced soak exports them alongside the spans.
-        registry = get_registry()
-        registry.counter("chaos.daemon.requests").inc(
-            report.requests_sent)
-        registry.counter("chaos.daemon.violations").inc(
-            len(report.violations))
-        shutil.rmtree(tmp, ignore_errors=True)
+        report.phase("graceful shutdown (drain)")
+        daemon.drain()
     return report
 
 
-def _tail(log_path: Path, lines: int = 12) -> str:
-    try:
-        return " | ".join(
-            log_path.read_text(errors="replace").splitlines()[-lines:])
-    except OSError:
-        return "(no daemon log)"
-
-
-def file_checksum_equal(a: Path, b: Path) -> bool:
-    """Byte-equality of two files (missing file counts as unequal)."""
-    try:
-        return a.read_bytes() == b.read_bytes()
-    except OSError:
-        return False
-
-
 # ---------------------------------------------------------------------------
-# Adaptation soak: the online loop under poisoned feedback, drift
-# storms, a deliberately-worse challenger, and mid-promotion SIGKILL
+# Adaptation soak (``pml-mpi chaos --adapt``): the online loop under
+# poisoned feedback, drift storms, a deliberately-worse challenger, and
+# mid-promotion SIGKILL
 # ---------------------------------------------------------------------------
 
 #: Degraded network reality for drift injection: heavy background
@@ -1179,11 +1126,6 @@ def synthesize_feedback(spec, selector, conditions=None, tick0: int = 0,
     ``repro.adapt``: the production loop only ever reads measured
     times out of feedback rows.
     """
-    from ..adapt.feedback import FeedbackRecord
-    from ..simcluster.conditions import machine_with_conditions
-    from ..smpi.tuning import measured_time
-    from .dataset import feasible_configs
-
     rows = []
     tick = tick0
     for _ in range(repeat):
@@ -1204,75 +1146,29 @@ def synthesize_feedback(spec, selector, conditions=None, tick0: int = 0,
     return rows, tick
 
 
-@dataclass
-class AdaptChaosReport:
+@dataclass(kw_only=True)
+class AdaptChaosReport(SoakReport):
     """Everything one adaptation soak observed."""
 
-    seed: int
-    wall_s: float = 0.0
-    phases: list[str] = field(default_factory=list)
+    banner: ClassVar[str] = "ADAPT CHAOS"
+    counter_prefixes: ClassVar[tuple[str, ...]] = (
+        "adapt.", "guard.champion.", "guard.challenger.")
+    counter_width: ClassVar[int] = 36
+
     verdicts: list[str] = field(default_factory=list)
     reloads_observed: int = 0
     decision_log_identical: bool = False
-    counters: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "wall_s": self.wall_s,
-            "phases": list(self.phases),
-            "verdicts": list(self.verdicts),
-            "reloads_observed": self.reloads_observed,
-            "decision_log_identical": self.decision_log_identical,
-            "counters": dict(self.counters),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-    def describe(self) -> str:
-        lines = [
+    def headline(self) -> list[str]:
+        replay = ("byte-identical" if self.decision_log_identical
+                  else "DIVERGED")
+        return [
             f"seed:                 {self.seed}",
             f"wall:                 {self.wall_s:.2f} s",
             f"verdict sequence:     {' -> '.join(self.verdicts)}",
             f"daemon reloads seen:  {self.reloads_observed}",
-            f"decision log replay:  "
-            f"{'byte-identical' if self.decision_log_identical else 'DIVERGED'}",
+            f"decision log replay:  {replay}",
         ]
-        for phase in self.phases:
-            lines.append(f"  phase: {phase}")
-        for name in sorted(self.counters):
-            if name.startswith(("adapt.", "guard.champion.",
-                                "guard.challenger.")):
-                lines.append(f"  {name:<36} {self.counters[name]}")
-        for v in self.violations[:20]:
-            lines.append(f"VIOLATION: {v}")
-        if len(self.violations) > 20:
-            lines.append(f"... {len(self.violations) - 20} more")
-        lines.append("ADAPT CHAOS OK" if self.ok
-                     else "ADAPT CHAOS FAILED")
-        return "\n".join(lines)
-
-
-def _guard_namespace_violations(counters: dict[str, int],
-                                namespace: str,
-                                context: str) -> list[str]:
-    """The guard-ladder partition for one counter namespace."""
-    g = {k: counters.get(f"{namespace}.{k}", 0)
-         for k in ("queries", "invalid", "served_model", "remapped",
-                   "ood_fallback", "breaker_fallback",
-                   "error_fallback")}
-    total = (g["invalid"] + g["served_model"] + g["remapped"]
-             + g["ood_fallback"] + g["breaker_fallback"]
-             + g["error_fallback"])
-    if total != g["queries"]:
-        return [f"{context}: {namespace} partition {total} != "
-                f"queries {g['queries']} ({g})"]
-    return []
 
 
 def run_adapt_chaos(seed: int = 0,
@@ -1294,364 +1190,254 @@ def run_adapt_chaos(seed: int = 0,
     fresh state writes byte-identical decision logs) → quiescent
     counter-partition checks over ``adapt.*`` / ``serve.daemon.*`` /
     both shadow-guard namespaces → graceful drain.
-
-    Violations are recorded, never raised.
     """
-    import json
-    import shutil
-    import subprocess
-    import sys
-    import tempfile
-
-    from ..adapt import (
-        AdaptConfig,
-        AdaptationLoop,
-        FeedbackLog,
-        VERDICTS,
-    )
-    from ..adapt.gate import ChampionChallengerGate
-    from ..obs.telemetry import MetricsRegistry, use_telemetry
-    from ..serve.client import DaemonClient
-    from ..serve.reload import file_crc32
-    from ..simcluster.conditions import NetworkConditions
-    from .bundle import load_selector, save_selector
-    from .dataset import TuningDataset
-
-    report = AdaptChaosReport(seed=seed)
-    t0 = time.perf_counter()
-    tmp = Path(tempfile.mkdtemp(prefix="pml-adapt-chaos-"))
+    report = AdaptChaosReport(seed=seed, progress=progress)
     registry = MetricsRegistry()
-    proc = None
-    client_stats = _StormStats()
-
-    def phase(name: str) -> None:
-        report.phases.append(name)
-        if progress:
-            print(f"  phase: {name}")
+    expect = report.expect
 
     def run_and_record(loop) -> Any:
         r = loop.run_once()
         report.verdicts.append(r.verdict)
         return r
 
-    def expect(condition: bool, message: str) -> None:
-        if not condition:
-            report.violations.append(message)
+    with _Daemon(report, "pml-adapt-chaos-") as daemon, \
+            use_telemetry(get_tracer(), registry):
+        tmp, bundle, socket_path = daemon.tmp, daemon.bundle, daemon.socket
 
-    def probe_daemon(socket_path: Path, context: str) -> None:
-        """A few valid selects — any client-visible exception is a
-        violation (the whole point of the guarded rollout)."""
-        try:
-            with DaemonClient(socket_path, timeout_s=30.0) as client:
-                response = client.select(_valid_queries(
-                    _rng(seed, "adapt-probe", context), 4))
-                _check_select_response(response, 4, context,
-                                       client_stats)
-        except Exception as exc:
-            client_stats.violation(
-                f"{context}: client-visible failure "
-                f"{type(exc).__name__}: {exc}")
+        def probe_daemon(context: str) -> None:
+            """A few valid selects — any client-visible exception is a
+            violation (the whole point of the guarded rollout)."""
+            try:
+                with DaemonClient(socket_path, timeout_s=30.0) as client:
+                    response = client.select(_valid_queries(
+                        _rng(seed, "adapt-probe", context), 4))
+                    _check_select_response(response, 4, context,
+                                           daemon.tally)
+            except Exception as exc:
+                daemon.tally.violation(
+                    f"{context}: client-visible failure "
+                    f"{type(exc).__name__}: {exc}")
 
-    def await_serving(socket_path: Path, crc: str | None,
-                      context: str) -> None:
-        """The daemon must converge onto the bundle with this CRC."""
-        got = _poll_stats(
-            socket_path,
-            lambda s: s.get("snapshot", {}).get("checksum") == crc)
-        if got is None:
-            report.violations.append(
-                f"{context}: daemon never converged onto checksum "
-                f"{crc}")
-        else:
-            report.reloads_observed += 1
+        def await_serving(crc: str, context: str) -> None:
+            """The daemon must converge onto the bundle with this CRC."""
+            got = _poll_stats(
+                socket_path,
+                lambda s: s.get("snapshot", {}).get("checksum") == crc)
+            if expect(got is not None,
+                      f"{context}: daemon never converged onto "
+                      f"checksum {crc}"):
+                report.reloads_observed += 1
 
-    try:
-        with use_telemetry(get_tracer(), registry):
-            spec = get_cluster(CHAOS_TRAIN_CLUSTER)
-            conditions = NetworkConditions(**DRIFT_CONDITIONS_KW)
-            bundle = tmp / "bundle.json"
-            dataset_path = tmp / "dataset.jsonl"
-            feedback_path = tmp / "feedback.jsonl"
-            state_dir = tmp / "state"
-            socket_path = tmp / "daemon.sock"
-            ready = tmp / "ready.json"
-            log_path = tmp / "daemon.log"
+        spec = get_cluster(CHAOS_TRAIN_CLUSTER)
+        conditions = NetworkConditions(**DRIFT_CONDITIONS_KW)
+        dataset_path = tmp / "dataset.jsonl"
+        feedback_path = tmp / "feedback.jsonl"
+        state_dir = tmp / "state"
 
-            phase("train champion bundle + dataset")
-            dataset = collect_dataset(clusters=[spec],
-                                      collectives=CHAOS_COLLECTIVES,
-                                      progress=False)
-            dataset.save(dataset_path)
-            models = {coll: train_model(dataset, coll, seed=seed,
-                                        params={"n_estimators": 8})
-                      for coll in CHAOS_COLLECTIVES}
-            champion = PretrainedSelector(models)
-            save_selector(champion, bundle)
-            champion_bytes = bundle.read_bytes()
-            champion_crc = file_crc32(bundle)
-
-            cfg = AdaptConfig(
-                cluster=CHAOS_TRAIN_CLUSTER, bundle_path=bundle,
-                feedback_path=feedback_path, state_dir=state_dir,
+        def adapt_config(bundle_path: Path, state: Path) -> AdaptConfig:
+            return AdaptConfig(
+                cluster=CHAOS_TRAIN_CLUSTER, bundle_path=bundle_path,
+                feedback_path=feedback_path, state_dir=state,
                 dataset_path=dataset_path, window=600,
-                model_params={"n_estimators": 8}, seed=seed,
+                model_params={"n_estimators": BUNDLE_TREES}, seed=seed,
                 probation_rows=20)
-            loop = AdaptationLoop(cfg)
-            log = FeedbackLog(feedback_path)
 
-            phase("boot daemon on champion")
-            proc = _start_daemon(bundle, socket_path, state_dir / "srv",
-                                 ready, log_path)
-            boot = _wait_ready(ready, proc)
-            if boot is None:
-                report.violations.append(
-                    "daemon never became ready: " + _tail(log_path))
-                return report
-            probe_daemon(socket_path, "post-boot")
+        report.phase("train champion bundle + dataset")
+        dataset, champion = train_chaos_selector(seed)
+        dataset.save(dataset_path)
+        save_selector(champion, bundle)
+        champion_bytes = bundle.read_bytes()
+        champion_crc = file_crc32(bundle)
+        loop = AdaptationLoop(adapt_config(bundle, state_dir))
+        log = FeedbackLog(feedback_path)
 
-            phase("poisoned feedback (quarantine, loop survives)")
-            feedback_path.write_text("{ not json at all\n")
-            r = run_and_record(loop)
-            expect(r.verdict == "no_feedback",
-                   f"poisoned feedback verdict {r.verdict!r}")
-            expect(r.quarantined is not None
-                   and Path(r.quarantined).exists(),
-                   "poisoned feedback was not quarantined")
-            expect(bundle.read_bytes() == champion_bytes,
-                   "poisoned feedback disturbed the serving bundle")
-            probe_daemon(socket_path, "post-poison")
+        report.phase("boot daemon on champion")
+        if daemon.boot(state_dir / "srv") is None:
+            return report
+        probe_daemon("post-boot")
 
-            phase("stable feedback (no drift)")
-            rows, tick = synthesize_feedback(spec, champion,
-                                             conditions=None, tick0=0)
-            log.append(rows)
-            r = run_and_record(loop)
-            expect(r.verdict == "stable",
-                   f"stable feedback verdict {r.verdict!r}")
-            expect(bundle.read_bytes() == champion_bytes,
-                   "stable feedback swapped the bundle")
+        report.phase("poisoned feedback (quarantine, loop survives)")
+        feedback_path.write_text("{ not json at all\n")
+        r = run_and_record(loop)
+        expect(r.verdict == "no_feedback",
+               f"poisoned feedback verdict {r.verdict!r}")
+        expect(r.quarantined is not None
+               and Path(r.quarantined).exists(),
+               "poisoned feedback was not quarantined")
+        expect(bundle.read_bytes() == champion_bytes,
+               "poisoned feedback disturbed the serving bundle")
+        probe_daemon("post-poison")
 
-            phase("drift storm -> challenger -> promotion")
-            rows, tick = synthesize_feedback(spec, champion,
-                                             conditions=conditions,
-                                             tick0=tick, repeat=2)
-            log.append(rows)
-            r = run_and_record(loop)
-            expect(r.verdict == "promoted",
-                   f"drift storm verdict {r.verdict!r}: {r.detail}")
-            expect(bundle.read_bytes() != champion_bytes,
-                   "promotion did not change the serving bundle")
-            expect((state_dir / "champion.backup.json").exists(),
-                   "promotion left no champion backup")
-            promoted_crc = file_crc32(bundle)
-            await_serving(socket_path, promoted_crc, "post-promotion")
-            probe_daemon(socket_path, "post-promotion")
-            try:
-                lineage = load_selector(bundle).models[
-                    CHAOS_COLLECTIVES[0]].metadata.get("lineage")
-                expect(isinstance(lineage, dict)
-                       and lineage.get("parent_checksum")
-                       == champion_crc,
-                       f"promoted bundle lineage wrong: {lineage!r}")
-            except Exception as exc:
-                report.violations.append(
-                    f"promoted bundle unreadable: {exc}")
+        report.phase("stable feedback (no drift)")
+        rows, tick = synthesize_feedback(spec, champion,
+                                         conditions=None, tick0=0)
+        log.append(rows)
+        r = run_and_record(loop)
+        expect(r.verdict == "stable",
+               f"stable feedback verdict {r.verdict!r}")
+        expect(bundle.read_bytes() == champion_bytes,
+               "stable feedback swapped the bundle")
 
-            phase("probation confirmation")
-            promoted = load_selector(bundle)
-            rows, tick = synthesize_feedback(spec, promoted,
-                                             conditions=conditions,
-                                             tick0=tick)
-            log.append(rows)
-            r = run_and_record(loop)
-            expect(r.verdict == "confirmed",
-                   f"probation verdict {r.verdict!r}: {r.detail}")
-            confirmed_bytes = bundle.read_bytes()
+        report.phase("drift storm -> challenger -> promotion")
+        rows, tick = synthesize_feedback(spec, champion,
+                                         conditions=conditions,
+                                         tick0=tick, repeat=2)
+        log.append(rows)
+        r = run_and_record(loop)
+        expect(r.verdict == "promoted",
+               f"drift storm verdict {r.verdict!r}: {r.detail}")
+        expect(bundle.read_bytes() != champion_bytes,
+               "promotion did not change the serving bundle")
+        expect((state_dir / "champion.backup.json").exists(),
+               "promotion left no champion backup")
+        await_serving(file_crc32(bundle), "post-promotion")
+        probe_daemon("post-promotion")
+        try:
+            lineage = load_selector(bundle).models[
+                CHAOS_COLLECTIVES[0]].metadata.get("lineage")
+            expect(isinstance(lineage, dict)
+                   and lineage.get("parent_checksum") == champion_crc,
+                   f"promoted bundle lineage wrong: {lineage!r}")
+        except Exception as exc:
+            report.violations.append(
+                f"promoted bundle unreadable: {exc}")
 
-            phase("deliberately-worse challenger: gate must reject")
-            # Labels inverted (1/t): the model learns to pick the
-            # *slowest* algorithm for every cell.
-            from .dataset import CollectiveRecord
-            inverted = TuningDataset([
-                CollectiveRecord(
-                    cluster=f.cluster, collective=f.collective,
-                    nodes=f.nodes, ppn=f.ppn, msg_size=f.msg_size,
-                    times={a: 1.0 / t for a, t in f.times.items()})
-                for f in rows])
-            bad = PretrainedSelector({
-                coll: train_model(inverted, coll, seed=seed,
-                                  params={"n_estimators": 4})
-                for coll in CHAOS_COLLECTIVES})
-            from ..adapt.gate import shadow_evaluate
-            shadow = shadow_evaluate(promoted, bad, rows[-60:], spec)
-            expect(not shadow.promote,
-                   f"gate promoted a worse challenger: "
-                   f"{shadow.to_dict()}")
-            expect(bundle.read_bytes() == confirmed_bytes,
-                   "rejected challenger still changed the bundle")
+        report.phase("probation confirmation")
+        promoted = load_selector(bundle)
+        rows, tick = synthesize_feedback(spec, promoted,
+                                         conditions=conditions,
+                                         tick0=tick)
+        log.append(rows)
+        r = run_and_record(loop)
+        expect(r.verdict == "confirmed",
+               f"probation verdict {r.verdict!r}: {r.detail}")
+        confirmed_bytes = bundle.read_bytes()
 
-            phase("forced promotion of worse challenger -> auto-demote")
-            gate = ChampionChallengerGate(bundle, state_dir,
-                                          registry=registry)
-            staged = tmp / "bad-challenger.json"
-            save_selector(bad, staged)
-            gate.promote(staged, tick=tick)
-            # A gamed shadow evaluation would have recorded a rosy
-            # promise; probation must catch the lie on real feedback.
-            (state_dir / "adapt_state.json").write_text(json.dumps(
-                {"phase": "probation", "fence_tick": tick - 1,
-                 "baseline_regret": 0.0}, sort_keys=True,
-                separators=(",", ":")) + "\n")
-            bad_crc = file_crc32(bundle)
-            await_serving(socket_path, bad_crc, "post-forced-promotion")
-            probe_daemon(socket_path, "post-forced-promotion")
-            bad_serving = load_selector(bundle)
-            rows, tick = synthesize_feedback(spec, bad_serving,
-                                             conditions=conditions,
-                                             tick0=tick)
-            log.append(rows)
-            r = run_and_record(loop)
-            expect(r.verdict == "demoted",
-                   f"worse-promotion verdict {r.verdict!r}: {r.detail}")
-            expect(bundle.read_bytes() == confirmed_bytes,
-                   "auto-demotion did not restore the champion")
-            expect(r.demoted is not None
-                   and Path(r.demoted).exists(),
-                   "demoted challenger was not quarantined")
-            await_serving(socket_path, file_crc32(bundle),
-                          "post-demotion")
-            probe_daemon(socket_path, "post-demotion")
+        report.phase("deliberately-worse challenger: gate must reject")
+        # Labels inverted (1/t): the model learns to pick the
+        # *slowest* algorithm for every cell.
+        inverted = TuningDataset([
+            CollectiveRecord(
+                cluster=f.cluster, collective=f.collective,
+                nodes=f.nodes, ppn=f.ppn, msg_size=f.msg_size,
+                times={a: 1.0 / t for a, t in f.times.items()})
+            for f in rows])
+        bad = _fit_selector(inverted, seed, 4)
+        shadow = shadow_evaluate(promoted, bad, rows[-60:], spec)
+        expect(not shadow.promote,
+               f"gate promoted a worse challenger: {shadow.to_dict()}")
+        expect(bundle.read_bytes() == confirmed_bytes,
+               "rejected challenger still changed the bundle")
 
-            phase("mid-promotion SIGKILL -> recovery")
-            save_selector(bad, staged)
-            src_dir = str(Path(__file__).resolve().parents[2])
-            # The subprocess takes the adapt lock (like a real sidecar
-            # run would), performs the real promote() up to and
-            # including the bundle swap, then SIGKILLs itself — dying
-            # with the transaction uncommitted *and* the lock held.
-            script = (
-                "import os, sys\n"
-                f"sys.path.insert(0, {src_dir!r})\n"
-                "import repro.adapt.gate as g\n"
-                "from repro.core.resilience import FileLock\n"
-                f"lock = FileLock({str(state_dir / 'adapt.lock')!r})\n"
-                "lock.acquire()\n"
-                "real_replace = g.os.replace\n"
-                "def crash_replace(a, b):\n"
-                "    real_replace(a, b)\n"
-                "    os.kill(os.getpid(), 9)\n"
-                "g.os.replace = crash_replace\n"
-                f"gate = g.ChampionChallengerGate({str(bundle)!r}, "
-                f"{str(state_dir)!r})\n"
-                f"gate.promote({str(staged)!r}, tick=10 ** 6)\n")
-            done = subprocess.run([sys.executable, "-c", script],
-                                  env=_daemon_env(), capture_output=True,
-                                  timeout=120)
-            expect(done.returncode == -9,
-                   f"SIGKILL subprocess exited rc={done.returncode}: "
-                   f"{done.stderr.decode(errors='replace')[-200:]}")
-            expect((state_dir / "promotion.json").exists(),
-                   "killed promotion left no sentinel")
-            expect((state_dir / "adapt.lock").exists(),
-                   "killed promotion left no stale lock to break")
-            r = run_and_record(loop)
-            expect(r.verdict == "recovered",
-                   f"post-SIGKILL verdict {r.verdict!r}: {r.detail}")
-            expect(registry.counters().get("adapt.lock.broken", 0) >= 1,
-                   "stale adapt lock was not broken on recovery")
-            expect(bundle.read_bytes() == confirmed_bytes,
-                   "recovery did not restore the champion bundle")
-            expect(not (state_dir / "promotion.json").exists(),
-                   "recovery left the promotion sentinel behind")
-            expect(any(p.name.startswith("bundle.json.corrupt")
-                       for p in tmp.iterdir()),
-                   "half-promoted challenger was not quarantined")
-            await_serving(socket_path, file_crc32(bundle),
-                          "post-recovery")
-            probe_daemon(socket_path, "post-recovery")
+        report.phase("forced promotion of worse challenger -> auto-demote")
+        gate = ChampionChallengerGate(bundle, state_dir,
+                                      registry=registry)
+        staged = tmp / "bad-challenger.json"
+        save_selector(bad, staged)
+        gate.promote(staged, tick=tick)
+        # A gamed shadow evaluation would have recorded a rosy
+        # promise; probation must catch the lie on real feedback.
+        (state_dir / "adapt_state.json").write_text(json.dumps(
+            {"phase": "probation", "fence_tick": tick - 1,
+             "baseline_regret": 0.0}, sort_keys=True,
+            separators=(",", ":")) + "\n")
+        await_serving(file_crc32(bundle), "post-forced-promotion")
+        probe_daemon("post-forced-promotion")
+        rows, tick = synthesize_feedback(spec, load_selector(bundle),
+                                         conditions=conditions,
+                                         tick0=tick)
+        log.append(rows)
+        r = run_and_record(loop)
+        expect(r.verdict == "demoted",
+               f"worse-promotion verdict {r.verdict!r}: {r.detail}")
+        expect(bundle.read_bytes() == confirmed_bytes,
+               "auto-demotion did not restore the champion")
+        expect(r.demoted is not None and Path(r.demoted).exists(),
+               "demoted challenger was not quarantined")
+        await_serving(file_crc32(bundle), "post-demotion")
+        probe_daemon("post-demotion")
 
-            phase("determinism replay (two fresh folds, same log)")
-            digests = []
-            for replica in ("a", "b"):
-                rdir = tmp / f"replica-{replica}"
-                rdir.mkdir()
-                rbundle = rdir / "bundle.json"
-                rbundle.write_bytes(champion_bytes)
-                rcfg = AdaptConfig(
-                    cluster=CHAOS_TRAIN_CLUSTER, bundle_path=rbundle,
-                    feedback_path=feedback_path,
-                    state_dir=rdir / "state",
-                    dataset_path=dataset_path, window=600,
-                    model_params={"n_estimators": 8}, seed=seed,
-                    probation_rows=20)
-                rloop = AdaptationLoop(rcfg)
-                for _ in range(2):
-                    rloop.run_once()
-                digests.append((
-                    (rdir / "state" / "adapt_decisions.jsonl")
-                    .read_bytes(),
-                    rbundle.read_bytes()))
-            report.decision_log_identical = \
-                digests[0][0] == digests[1][0]
-            expect(report.decision_log_identical,
-                   "decision logs diverged between identical replays")
-            expect(digests[0][1] == digests[1][1],
-                   "serving bundles diverged between identical replays")
+        report.phase("mid-promotion SIGKILL -> recovery")
+        save_selector(bad, staged)
+        # The subprocess takes the adapt lock (like a real sidecar run
+        # would), performs the real promote() up to and including the
+        # bundle swap, then SIGKILLs itself — dying with the
+        # transaction uncommitted *and* the lock held.
+        script = (
+            "import os\n"
+            "import repro.adapt.gate as g\n"
+            "from repro.core.resilience import FileLock\n"
+            f"lock = FileLock({str(state_dir / 'adapt.lock')!r})\n"
+            "lock.acquire()\n"
+            "real_replace = g.os.replace\n"
+            "def crash_replace(a, b):\n"
+            "    real_replace(a, b)\n"
+            "    os.kill(os.getpid(), 9)\n"
+            "g.os.replace = crash_replace\n"
+            f"gate = g.ChampionChallengerGate({str(bundle)!r}, "
+            f"{str(state_dir)!r})\n"
+            f"gate.promote({str(staged)!r}, tick=10 ** 6)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=_daemon_env(), capture_output=True,
+                              timeout=120)
+        expect(done.returncode == -9,
+               f"SIGKILL subprocess exited rc={done.returncode}: "
+               f"{done.stderr.decode(errors='replace')[-200:]}")
+        expect((state_dir / "promotion.json").exists(),
+               "killed promotion left no sentinel")
+        expect((state_dir / "adapt.lock").exists(),
+               "killed promotion left no stale lock to break")
+        r = run_and_record(loop)
+        expect(r.verdict == "recovered",
+               f"post-SIGKILL verdict {r.verdict!r}: {r.detail}")
+        expect(registry.counters().get("adapt.lock.broken", 0) >= 1,
+               "stale adapt lock was not broken on recovery")
+        expect(bundle.read_bytes() == confirmed_bytes,
+               "recovery did not restore the champion bundle")
+        expect(not (state_dir / "promotion.json").exists(),
+               "recovery left the promotion sentinel behind")
+        expect(any(p.name.startswith("bundle.json.corrupt")
+                   for p in tmp.iterdir()),
+               "half-promoted challenger was not quarantined")
+        await_serving(file_crc32(bundle), "post-recovery")
+        probe_daemon("post-recovery")
 
-            phase("counter partitions (adapt / guards / daemon)")
-            counters = registry.counters()
-            report.counters = dict(counters)
-            runs = counters.get("adapt.runs", 0)
-            verdict_sum = sum(
-                counters.get(f"adapt.verdict.{v}", 0)
-                for v in VERDICTS)
-            expect(runs == verdict_sum and runs > 0,
-                   f"adapt.runs {runs} != verdict sum {verdict_sum}")
-            loads = counters.get("adapt.feedback.loads", 0)
-            expect(loads == counters.get("adapt.feedback.ok", 0)
-                   + counters.get("adapt.feedback.quarantined", 0),
-                   "adapt.feedback.loads does not partition")
-            evals = counters.get("adapt.gate.evaluations", 0)
-            expect(evals == counters.get("adapt.gate.accepted", 0)
-                   + counters.get("adapt.gate.rejected", 0),
-                   "adapt.gate.evaluations does not partition")
-            for ns in ("guard.champion", "guard.challenger"):
-                report.violations.extend(_guard_namespace_violations(
-                    counters, ns, "quiescent"))
-            quiet = _poll_quiescent(socket_path, timeout_s=30.0)
-            if quiet is None:
-                report.violations.append(
-                    "daemon stats unavailable at quiescence")
-            else:
-                report.violations.extend(_daemon_partition_violations(
-                    quiet.get("counters", {}), "quiescent",
-                    quiescent=True))
+        report.phase("determinism replay (two fresh folds, same log)")
+        replicas = []
+        for name in ("a", "b"):
+            rdir = tmp / f"replica-{name}"
+            rdir.mkdir()
+            rbundle = rdir / "bundle.json"
+            rbundle.write_bytes(champion_bytes)
+            rloop = AdaptationLoop(adapt_config(rbundle, rdir / "state"))
+            for _ in range(2):
+                rloop.run_once()
+            replicas.append((
+                (rdir / "state" / "adapt_decisions.jsonl").read_bytes(),
+                rbundle.read_bytes()))
+        report.decision_log_identical = \
+            replicas[0][0] == replicas[1][0]
+        expect(report.decision_log_identical,
+               "decision logs diverged between identical replays")
+        expect(replicas[0][1] == replicas[1][1],
+               "serving bundles diverged between identical replays")
 
-            phase("graceful shutdown (drain)")
-            try:
-                with DaemonClient(socket_path, timeout_s=30.0) as c:
-                    c.shutdown()
-                rc = proc.wait(timeout=30)
-                expect(rc == 0,
-                       f"drained daemon exited rc={rc}: "
-                       + _tail(log_path))
-                proc = None
-            except Exception as exc:
-                report.violations.append(
-                    f"drain failed: {type(exc).__name__}: {exc}")
+        report.phase("counter partitions (adapt / guards / daemon)")
+        report.counters = registry.counters()
+        expect(report.counters.get("adapt.runs", 0) > 0,
+               "adapt.runs is 0")
+        report.violations.extend(partition_violations(
+            report.counters, "quiescent", "adapt", "adapt.feedback",
+            "adapt.gate", "guard.champion", "guard.challenger"))
+        quiet = _poll_quiescent(socket_path)
+        if expect(quiet is not None,
+                  "daemon stats unavailable at quiescence"):
+            report.violations.extend(partition_violations(
+                quiet.get("counters", {}), "quiescent",
+                *DAEMON_NAMESPACES))
 
-            report.violations.extend(client_stats.violations)
-            expect(client_stats.invalid == 0,
-                   f"{client_stats.invalid} probe queries answered "
-                   f"invalid")
-    finally:
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
-        report.wall_s = time.perf_counter() - t0
-        ambient = get_registry()
-        ambient.counter("chaos.adapt.phases").inc(len(report.phases))
-        ambient.counter("chaos.adapt.violations").inc(
-            len(report.violations))
-        shutil.rmtree(tmp, ignore_errors=True)
+        report.phase("graceful shutdown (drain)")
+        daemon.drain()
+        expect(daemon.tally.invalid == 0,
+               f"{daemon.tally.invalid} probe queries answered invalid")
     return report

@@ -798,16 +798,16 @@ class TestAdaptationLoopEndToEnd:
             self, tmp_path, registry):
         import shutil
 
-        from repro.core.bundle import load_selector
+        from repro.core.bundle import load_selector, save_selector
         from repro.core.chaos import (
             DRIFT_CONDITIONS_KW,
-            _train_chaos_bundle,
             synthesize_feedback,
+            train_chaos_selector,
         )
         from repro.simcluster.conditions import NetworkConditions
 
         bundle = tmp_path / "bundle.json"
-        _train_chaos_bundle(bundle, seed=0)
+        save_selector(train_chaos_selector(seed=0)[1], bundle)
         champion_bytes = bundle.read_bytes()
         spec = get_cluster("RI")
         drifted = NetworkConditions(**DRIFT_CONDITIONS_KW)

@@ -13,13 +13,19 @@ from repro.core.chaos import (
     ChaosReport,
     DaemonChaosReport,
     FlakySelector,
+    _Daemon,
+    partition_violations,
     run_adapt_chaos,
     run_chaos,
     run_daemon_chaos,
 )
 from repro.hwmodel import get_cluster
+from repro.obs.expo import prometheus_name
+from repro.serve.daemon import DAEMON_COUNTER_KEYS
+from repro.serve.service import SERVE_COUNTER_KEYS
 from repro.simcluster.conditions import FaultProfile
 from repro.simcluster.machine import Machine
+from repro.smpi.guard import COUNTER_KEYS
 from repro.smpi.heuristics import MvapichDefaultSelector
 
 
@@ -59,8 +65,7 @@ class TestFlakySelector:
 
 class TestRunChaos:
     def test_short_soak_holds_invariants(self):
-        report = run_chaos(queries=1200, seed=0, storm_length=25,
-                           recovery_ticks=80)
+        report = run_chaos(queries=1200, seed=0)
         assert report.ok, "\n".join(report.violations)
         assert report.unguarded_exceptions == 0
         assert report.infeasible_served == 0
@@ -71,10 +76,8 @@ class TestRunChaos:
         assert report.counters["ood_fallback"] > 0
 
     def test_deterministic_given_seed(self):
-        a = run_chaos(queries=300, seed=3, storm_length=10,
-                      recovery_ticks=40)
-        b = run_chaos(queries=300, seed=3, storm_length=10,
-                      recovery_ticks=40)
+        a = run_chaos(queries=300, seed=3)
+        b = run_chaos(queries=300, seed=3)
         assert a.counters == b.counters
         assert a.breaker_transitions == b.breaker_transitions
 
@@ -82,36 +85,88 @@ class TestRunChaos:
         with pytest.raises(ValueError):
             run_chaos(queries=0)
 
-    def test_report_round_trips(self):
-        report = ChaosReport(queries=10, seed=1)
-        assert report.ok
-        assert report.to_dict()["ok"] is True
-        report.violations.append("boom")
-        assert not report.ok
-        assert "CHAOS FAILED" in report.describe()
+
+@pytest.mark.parametrize("report_type,kwargs,banner", [
+    (ChaosReport, {"queries": 10}, "CHAOS"),
+    (DaemonChaosReport, {"clients": 2, "requests_per_client": 4},
+     "DAEMON CHAOS"),
+    (AdaptChaosReport, {}, "ADAPT CHAOS"),
+], ids=["guard", "daemon", "adapt"])
+def test_report_flags_violations(report_type, kwargs, banner):
+    report = report_type(seed=1, **kwargs)
+    assert report.ok
+    assert report.describe().endswith(f"\n{banner} OK")
+    report.violations.append("boom")
+    assert not report.ok
+    text = report.describe()
+    assert "\nVIOLATION: boom\n" in text
+    assert text.endswith(f"\n{banner} FAILED")
 
 
-class TestDaemonChaosReport:
-    def test_report_round_trips_and_flags_violations(self):
-        report = DaemonChaosReport(seed=1, clients=2,
-                                   requests_per_client=4)
-        assert report.ok
-        assert "DAEMON CHAOS OK" in report.describe()
-        report.violations.append("boom")
-        assert not report.ok
-        assert "DAEMON CHAOS FAILED" in report.describe()
-        assert report.to_dict()["violations"] == ["boom"]
+#: One counter family per exported key tuple: (namespace, total, parts).
+FAMILIES = [
+    ("guard", COUNTER_KEYS[0], COUNTER_KEYS[1:7]),
+    ("guard.challenger", COUNTER_KEYS[0], COUNTER_KEYS[1:7]),
+    ("serve", SERVE_COUNTER_KEYS[0], SERVE_COUNTER_KEYS[1:4]),
+    ("serve.daemon", DAEMON_COUNTER_KEYS[0],
+     tuple(k for k in DAEMON_COUNTER_KEYS[1:] if k != "internal")),
+]
 
 
-class TestAdaptChaosReport:
-    def test_report_round_trips_and_flags_violations(self):
-        report = AdaptChaosReport(seed=1)
-        assert report.ok
-        assert "ADAPT CHAOS OK" in report.describe()
-        report.violations.append("boom")
-        assert not report.ok
-        assert "ADAPT CHAOS FAILED" in report.describe()
-        assert report.to_dict()["violations"] == ["boom"]
+class TestPartitionViolations:
+    @staticmethod
+    def _snapshot(namespace, total, parts, exposition=False):
+        values = {k: i + 1 for i, k in enumerate(parts)}
+        values[total] = sum(values.values())
+
+        def name(key):
+            dotted = f"{namespace}.{key}"
+            return (f"{prometheus_name(dotted)}_total" if exposition
+                    else dotted)
+
+        return {name(k): v for k, v in values.items()}, name
+
+    @pytest.mark.parametrize("exposition", [False, True],
+                             ids=["registry", "exposition"])
+    @pytest.mark.parametrize("namespace,total,parts", FAMILIES,
+                             ids=[f[0] for f in FAMILIES])
+    def test_consistent_passes_off_by_one_fails(self, namespace, total,
+                                                parts, exposition):
+        counters, name = self._snapshot(namespace, total, parts,
+                                        exposition)
+        assert partition_violations(counters, "ctx", namespace,
+                                    exposition=exposition) == []
+        counters[name(parts[-1])] += 1
+        violations = partition_violations(counters, "ctx", namespace,
+                                          exposition=exposition)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"ctx: {namespace} partition")
+
+    def test_non_partition_counters_are_ignored(self):
+        counters, _ = self._snapshot("guard", "queries",
+                                     COUNTER_KEYS[1:7])
+        counters["guard.fallback_floored"] = 99
+        counters["serve.queries"] = 7
+        assert partition_violations(counters, "ctx", "guard") == []
+
+    def test_daemon_internal_errors_are_violations(self):
+        counters = {"serve.daemon.requests": 3, "serve.daemon.ok": 2,
+                    "serve.daemon.internal": 1}
+        violations = partition_violations(counters, "ctx",
+                                          "serve.daemon")
+        assert violations == ["ctx: 1 internal errors served"]
+
+
+def test_daemon_lifecycle_reports_client_tally_on_early_exit():
+    """A soak that ends early (say, a failed restart) still reports the
+    violations its clients recorded, and leaves no temp dir behind."""
+    report = DaemonChaosReport(seed=0, clients=1, requests_per_client=1)
+    with _Daemon(report, "pml-chaos-test-") as daemon:
+        daemon.tally.violation("post-corrupt: late violation")
+        tmp = daemon.tmp
+    assert report.violations == ["post-corrupt: late violation"]
+    assert not tmp.exists()
+    assert report.wall_s > 0
 
 
 @pytest.mark.chaos

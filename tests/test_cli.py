@@ -234,6 +234,35 @@ class TestSweep:
         assert rc == 0
 
 
+class TestUnloadableBundle:
+    """Every command that loads a bundle exits 2 with one message."""
+
+    @pytest.mark.parametrize("state", ["missing", "corrupt"])
+    @pytest.mark.parametrize("command", ["tune", "select", "select-batch",
+                                         "sweep"])
+    def test_exits_2_with_message(self, command, state, tmp_path,
+                                  capsys):
+        bundle = tmp_path / "pml.json"
+        if state == "corrupt":
+            bundle.write_text('{"broken')
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"collective": "allgather", "nodes": 2, '
+                           '"ppn": 8, "msg_size": 1024}\n')
+        argv = {
+            "tune": ["tune", "RI", "--table-dir", str(tmp_path)],
+            "select": ["select", "RI", "allgather", "2", "8", "1024"],
+            "select-batch": ["select-batch", "RI", "--input",
+                             str(queries)],
+            "sweep": ["sweep", "RI", "allgather", "2", "4",
+                      "--selector", "pml"],
+        }[command]
+        assert main([*argv, "--bundle", str(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot load bundle {bundle}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestDoctor:
     def test_clean_directory(self, bundle, tmp_path, capsys):
         main(["tune", "RI", "--bundle", str(bundle),
@@ -289,7 +318,7 @@ class TestDoctorCrossCheck:
 class TestChaos:
     def test_short_run_passes(self, capsys):
         rc = main(["chaos", "--queries", "600", "--seed", "0",
-                   "--storm-length", "20", "--quiet"])
+                   "--quiet"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "CHAOS OK" in out
