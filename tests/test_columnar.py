@@ -15,6 +15,10 @@ The oracle's breaker is held in one state: closed (it never trips)
 for every row, except rows the service answered ``breaker-fallback``,
 which are checked against a breaker held open — the rule the perfbench
 verifier applies to live daemon replies.
+
+:class:`TestBlockPathCost` checks that the block path never falls back
+to scalar cost: a whole stream reaches the model as one call on its
+distinct keys, and its per-query cost stays far below ``explain``'s.
 """
 
 import random
@@ -22,10 +26,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.dataset import collect_dataset
+from repro.core.framework import offline_train
 from repro.core.inference import PretrainedSelector
 from repro.core.resilience import CircuitBreaker
 from repro.core.training import train_model
 from repro.hwmodel import get_cluster
+from repro.ml.forest import RandomForestClassifier
 from repro.serve import (
     ACTION_INVALID,
     DecisionBlock,
@@ -37,6 +44,7 @@ from repro.serve import (
     quantize_msg_size,
 )
 from repro.serve.columnar import quantize_block
+from repro.simcluster.machine import Machine
 from repro.smpi.guard import (
     ACTION_BREAKER,
     ACTION_MODEL,
@@ -52,6 +60,7 @@ from repro.smpi.heuristics import (
 )
 
 from .serve_oracle import KeyedAdversary, Oracle
+from .timing import best_interleaved
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +327,103 @@ class TestFuzzDifferential:
                 as_records=rng.random() < 0.5)
             actions.update(block.actions.tolist())
         assert {ACTION_BREAKER, "remap", ACTION_INVALID} <= actions
+
+
+# ---------------------------------------------------------------------------
+# The block path's cost (it must never fall back to scalar cost)
+# ---------------------------------------------------------------------------
+
+#: The per-query cost of one cold ``select_block`` over the stream must
+#: be at least this many times below scalar ``explain``'s.
+MIN_SPEEDUP_VS_SCALAR = 50
+
+
+@pytest.fixture(scope="module")
+def ri_allgather_selector(ri_spec):
+    """RF models trained on RI's allgather campaign (42 configs)."""
+    dataset = collect_dataset(clusters=[ri_spec],
+                              collectives=("allgather",))
+    return offline_train(dataset, family="rf", collectives=("allgather",))
+
+
+@pytest.fixture(scope="module")
+def ri_stream(ri_spec):
+    """10,000 RI allgather queries over every job shape, message sizes
+    2^e + U[0, 2^e) for e in 6..20 (NumPy seed 0)."""
+    rng = np.random.default_rng(0)
+    shapes = [(int(nodes), int(ppn)) for nodes in ri_spec.node_counts
+              for ppn in ri_spec.ppn_values if nodes * ppn >= 2]
+    queries = []
+    for _ in range(10_000):
+        nodes, ppn = shapes[int(rng.integers(len(shapes)))]
+        exp = int(rng.integers(6, 21))
+        msg = int(2 ** exp + rng.integers(0, 2 ** exp))
+        queries.append(SelectionQuery("allgather", nodes, ppn, msg))
+    return queries
+
+
+class TestBlockPathCost:
+    def test_one_model_call_on_the_distinct_keys(
+            self, ri_spec, ri_stream, ri_allgather_selector, monkeypatch):
+        """A cold service answers the stream in one ``select_block``:
+        the inner selector gets one block call carrying exactly the
+        distinct quantized keys, the forest predicts once, and no row
+        goes through scalar ``explain`` or the inner ``select``."""
+        selector = ri_allgather_selector
+        calls = {}
+
+        def count(owner, name):
+            calls[name] = seen = []
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                seen.append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(selector, "select_block")
+        count(selector, "select")
+        count(GuardedSelector, "explain")
+        count(RandomForestClassifier, "predict_batch")
+        block = SelectionService(GuardedSelector(selector),
+                                 ri_spec).select_block(ri_stream)
+
+        keys = {(q.nodes, q.ppn, quantize_msg_size(q.msg_size))
+                for q in ri_stream}
+        assert len(keys) == 32
+        assert [len(args[-1]) for args in calls["select_block"]] == [32]
+        [(_, _, nodes, ppn, msg)] = calls["select_block"]
+        assert sorted(zip(nodes.tolist(), ppn.tolist(), msg.tolist())) \
+            == sorted(keys)
+        assert len(calls["predict_batch"]) == 1
+        assert calls["explain"] == [] and calls["select"] == []
+        assert block.actions.tolist() == [ACTION_MODEL] * len(ri_stream)
+
+    def test_per_query_cost_far_below_scalar(self, ri_spec, ri_stream,
+                                             ri_allgather_selector):
+        """One cold ``select_block`` over the stream against scalar
+        ``explain`` on each quantized key of a 500-query prefix, timed
+        interleaved, best of 3."""
+        selector = ri_allgather_selector
+        prefix = ri_stream[:500]
+        machines = {(q.nodes, q.ppn): Machine(ri_spec, q.nodes, q.ppn)
+                    for q in prefix}
+
+        def scalar():
+            guard = GuardedSelector(selector)
+            for q in prefix:
+                guard.explain(q.collective, machines[q.nodes, q.ppn],
+                              quantize_msg_size(q.msg_size))
+
+        def block():
+            SelectionService(GuardedSelector(selector),
+                             ri_spec).select_block(ri_stream)
+
+        scalar_s, block_s = best_interleaved([scalar, block], repeats=3)
+        speedup = (scalar_s / len(prefix)) / (block_s / len(ri_stream))
+        assert speedup >= MIN_SPEEDUP_VS_SCALAR, (
+            f"block path {speedup:.1f}x below scalar explain per query "
+            f"(floor {MIN_SPEEDUP_VS_SCALAR}x)")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.framework import offline_train
 from repro.hwmodel import get_cluster
+from repro.obs.live import FlightRecorder, get_recorder, use_recorder
 from repro.serve import (
     ACTION_INVALID,
     LRUCache,
@@ -187,6 +188,31 @@ class TestSelectionService:
         service.select(SelectionQuery("allgather", 2, 4, 64))
         assert service.guard.registry is service.registry
         assert service.registry.counter("guard.queries").value == 1
+
+
+class TestFlightRecorderHook:
+    """The recorder costs one event per block, not one per row."""
+
+    @staticmethod
+    def _queries(rows):
+        return [SelectionQuery("allgather", 2, 4, 64 + i)
+                for i in range(rows)]
+
+    @pytest.mark.parametrize("rows", (1, 64, 10_000))
+    def test_one_request_event_per_block(self, ray_spec, rows):
+        service = SelectionService(MvapichDefaultSelector(), ray_spec)
+        with use_recorder(FlightRecorder(capacity=256)) as recorder:
+            service.select_block(self._queries(rows))
+        [event] = recorder.tail()
+        assert event["kind"] == "request"
+        assert event["queries"] == rows
+
+    def test_default_recorder_records_nothing(self, ray_spec):
+        recorder = get_recorder()
+        assert not recorder.enabled
+        service = SelectionService(MvapichDefaultSelector(), ray_spec)
+        service.select_block(self._queries(64))
+        assert recorder.total == 0 and len(recorder) == 0
 
 
 class TestJsonl:

@@ -20,6 +20,8 @@ from repro.smpi import (
     measured_time,
 )
 
+from .timing import best_interleaved
+
 
 @pytest.fixture(scope="module")
 def machine():
@@ -196,8 +198,49 @@ class TestTuningTable:
             oracle.select("allgather", machine, 16)
 
 
+def _synthetic_table(n_nodes: int, n_ppn: int,
+                     n_breakpoints: int) -> TuningTable:
+    """A table with ``n_nodes * n_ppn`` configs of *n_breakpoints*
+    breakpoints each, cycling through real algorithm names."""
+    algos = sorted(algorithm_names("allgather"))
+    table = TuningTable(cluster="bench")
+    for i in range(n_nodes):
+        for j in range(n_ppn):
+            nodes, ppn = 2 ** i, 2 ** j
+            for k in range(n_breakpoints):
+                table.add("allgather", nodes, ppn, 2 ** (k + 3),
+                          algos[(i + j + k) % len(algos)])
+    return table
+
+
 class TestTuningTableHotPath:
     """The O(1)-lookup rewrite: dedup, tie-breaks, invalidation."""
+
+    def test_lookup_does_not_scale_with_table_size(self):
+        """A 64x bigger table must not cost ~64x per lookup; the bisect
+        + memoized-nearest design keeps the ratio near 1 (allow slack
+        for timer noise at tiny lookup counts)."""
+        small = _synthetic_table(2, 2, 8)        # 4 configs
+        large = _synthetic_table(16, 16, 32)     # 256 configs
+        # Exact hits, nearest-config misses, and a spread of message
+        # sizes (including past the last breakpoint).
+        rng = np.random.default_rng(0)
+        queries = [(int(2 ** rng.integers(0, 6)),
+                    int(2 ** rng.integers(0, 6)),
+                    int(2 ** rng.integers(0, 40))) for _ in range(512)]
+
+        def lookups(table):
+            for i in range(2000):
+                nodes, ppn, msg = queries[i % len(queries)]
+                table.lookup("allgather", nodes, ppn, msg)
+
+        small_s, large_s = best_interleaved(
+            [lambda: lookups(small), lambda: lookups(large)], repeats=3)
+        ratio = large_s / small_s
+        configs_ratio = (sum(map(len, large.entries.values()))
+                         / sum(map(len, small.entries.values())))
+        assert configs_ratio >= 32
+        assert ratio < configs_ratio / 4
 
     def test_duplicate_add_replaces_last_write_wins(self):
         table = TuningTable(cluster="X")
