@@ -100,41 +100,6 @@ pml chaos --queries 10000 --seed 0 --quiet | tee "$workdir/chaos.out"
 grep -q "CHAOS OK" "$workdir/chaos.out"
 grep -q "unguarded exceptions: 0" "$workdir/chaos.out"
 
-echo "== bench (quick) =="
-pml bench --quick --quiet --jobs 2 --output "$workdir/BENCH_results.json"
-python - "$workdir/BENCH_results.json" <<'EOF'
-import sys
-from repro.core.bench import validate_bench_file
-
-results = validate_bench_file(sys.argv[1])
-required = {"forest_fit_serial", "forest_fit_parallel",
-            "forest_predict_batch", "table_generation", "table_lookup",
-            "serve_batch_columnar", "active_collect"}
-missing = required - set(results)
-assert not missing, f"bench results missing {sorted(missing)}"
-assert results["forest_fit_parallel"]["config"][
-    "bit_identical_to_serial"], "parallel fit diverged from serial"
-assert results["serve_batch_columnar"]["config"][
-    "identical_to_scalar"], "batched serving diverged from scalar guard"
-active = results["active_collect"]["config"]
-assert active["core_hours_ratio"] <= 0.5, \
-    f"active collection spent {active['core_hours_ratio']:.2%} of exhaustive"
-assert active["accuracy_gap"] <= 0.02, \
-    f"active accuracy gap {active['accuracy_gap']:+.4f} exceeds 2%"
-
-# The validator must actually *fail* on schema-invalid output.
-try:
-    validate_bench_results = __import__(
-        "repro.core.bench", fromlist=["validate_bench_results"]
-    ).validate_bench_results
-    validate_bench_results({"broken": {"wall_s": -1, "config": {}}})
-except ValueError:
-    pass
-else:
-    raise AssertionError("schema validator accepted invalid output")
-print("bench schema OK")
-EOF
-
 echo "== select-batch (JSONL in -> guarded decisions out) =="
 cat > "$workdir/queries.jsonl" <<'JSONL'
 {"collective":"allgather","nodes":2,"ppn":4,"msg_size":1000}

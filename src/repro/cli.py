@@ -34,9 +34,6 @@ build system:
     Validate every artifact (tables, bundles, dataset caches) in a
     directory and print the health report; ``--bundle`` additionally
     cross-checks each tuning table against that model bundle.
-``pml-mpi bench``
-    Time the hot paths (ensemble fit, batch predict, table
-    generation, table lookup) and write ``BENCH_results.json``.
 ``pml-mpi chaos``
     Soak the runtime guard layer with adversarial queries (malformed
     input, out-of-distribution shapes, fault-injected models, scripted
@@ -94,6 +91,22 @@ from .smpi.heuristics import (
     RandomSelector,
 )
 from .smpi.tuning import OracleSelector
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of ``--workers`` and ``--jobs``: a positive int,
+    or -1 for one worker per core (the ``n_jobs`` convention of
+    :func:`repro.ml.parallel.resolve_n_jobs`), checked before any work
+    starts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below, like 0
+    if value < 1 and value != -1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or -1 (all cores), "
+            f"got {text!r}")
+    return value
 
 
 def _clusters_arg(names: list[str] | None):
@@ -242,19 +255,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     print(f"\n{ok} ok, {bad} problem(s), {quarantined} quarantined "
           f"in {directory}")
     return 0 if bad == 0 else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .core.bench import run_benchmarks, write_bench_results
-
-    results = run_benchmarks(quick=args.quick, jobs=args.jobs,
-                             repeats=args.repeats, lookups=args.lookups,
-                             progress=not args.quiet)
-    path = write_bench_results(results, args.output)
-    for name, entry in results.items():
-        print(f"{name:<24} {entry['wall_s']:.4f} s")
-    print(f"results written to {path}")
-    return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -539,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=ALL_COLLECTIVES)
     p.add_argument("--output", type=Path,
                    help="also save the dataset to this path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel collection processes "
-                        "(exhaustive mode only)")
+    p.add_argument("--workers", type=_worker_count, default=None,
+                   metavar="N",
+                   help="parallel collection processes (exhaustive "
+                        "mode only; -1 = all cores)")
     p.add_argument("--quiet", action="store_true")
     g = p.add_argument_group(
         "active learning",
@@ -600,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("rf", "gradientboost", "knn", "svm"))
     p.add_argument("--tune", action="store_true",
                    help="grid-search hyperparameters (slow)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=_worker_count, default=None,
+                   metavar="N",
                    help="worker processes for ensemble fitting / "
                         "grid search (results are bit-identical to "
                         "serial; -1 = all cores)")
@@ -763,8 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="challenger training seed (decisions are a "
                         "pure function of seed + feedback)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for challenger training")
+    p.add_argument("--jobs", type=_worker_count, default=None,
+                   metavar="N",
+                   help="worker processes for challenger training "
+                        "(-1 = all cores)")
     p.add_argument("--watch", action="store_true",
                    help="keep polling the feedback log instead of "
                         "exiting after one pass")
@@ -774,26 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop --watch after N passes (default: run "
                         "until interrupted)")
     p.set_defaults(func=cmd_adapt)
-
-    p = sub.add_parser(
-        "bench", parents=[common],
-        help="time the hot paths, write BENCH_results.json")
-    p.add_argument("--output", type=Path,
-                   default=Path("BENCH_results.json"),
-                   help="results file (default BENCH_results.json)")
-    p.add_argument("--quick", action="store_true",
-                   help="small problem sizes for smoke tests / CI")
-    p.add_argument("--jobs", type=int, default=4, metavar="N",
-                   help="worker processes for the parallel-fit "
-                        "benchmark (default 4)")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
-                   help="timing repeats; best-of is reported "
-                        "(default 3; quick mode forces 1)")
-    p.add_argument("--lookups", type=int, default=None, metavar="N",
-                   help="table lookups to time (default 1000000, "
-                        "or 50000 with --quick)")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("select", parents=[common],
                        help="query one algorithm choice")

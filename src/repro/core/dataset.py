@@ -29,6 +29,7 @@ import numpy as np
 
 from ..hwmodel.registry import all_clusters, get_cluster
 from ..hwmodel.specs import ClusterSpec
+from ..ml.parallel import parallel_map
 from ..obs.telemetry import get_registry, get_tracer
 from ..simcluster.conditions import FaultProfile
 from ..simcluster.machine import Machine
@@ -293,7 +294,7 @@ def _validate_record(r: CollectiveRecord, path: Path,
 
 
 #: Memoized feasibility grids: the same (cluster, collective) grid is
-#: re-derived by collection, the oracle, and the benchmark harness.
+#: re-derived by collection, the oracle, and the benchmarks.
 _FEASIBLE_CACHE: dict[tuple, tuple[tuple[int, int, int], ...]] = {}
 
 
@@ -530,9 +531,12 @@ def collect_dataset(clusters: list[ClusterSpec] | None = None,
                     retry: RetryPolicy | None = None) -> TuningDataset:
     """The full Table I campaign (cached after the first run).
 
-    ``workers`` > 1 fans the (cluster, collective) chunks out over a
-    process pool; results are concatenated in deterministic chunk order
-    regardless of completion order.
+    ``workers`` follows the ``n_jobs`` convention of
+    :func:`~repro.ml.parallel.parallel_map` (``None``/``1`` serial, -1
+    one worker per core): more than one worker fans the (cluster,
+    collective) chunks out over a process pool, and results are
+    concatenated in deterministic chunk order regardless of completion
+    order.
 
     A cached file that fails validation is quarantined (renamed to
     ``*.corrupt``) and the campaign re-runs — a corrupt cache never
@@ -557,16 +561,10 @@ def collect_dataset(clusters: list[ClusterSpec] | None = None,
     total_dropped = 0
     with get_tracer().span("collect.campaign", clusters=len(clusters),
                            chunks=len(chunks)):
-        if workers is not None and workers > 1:
-            from ..ml.parallel import parallel_map
-
-            results = parallel_map(
-                _collect_chunk_task,
-                [(spec, coll, faults, retry) for spec, coll in chunks],
-                workers)
-        else:
-            results = [_collect_chunk(spec, coll, faults, retry)
-                       for spec, coll in chunks]
+        results = parallel_map(
+            _collect_chunk_task,
+            [(spec, coll, faults, retry) for spec, coll in chunks],
+            workers)
         best_us = registry.histogram("collect.best_time_us")
         for (spec, coll), (chunk, dropped) in zip(chunks, results):
             total_dropped += dropped

@@ -388,10 +388,6 @@ class FileLock:
             self.path.unlink(missing_ok=True)
         self._fd = None
 
-    @property
-    def locked(self) -> bool:
-        return self._fd is not None
-
     def __enter__(self) -> "FileLock":
         self.acquire()
         return self

@@ -43,10 +43,6 @@ def _decode_array(obj: dict[str, Any]) -> np.ndarray:
         obj["shape"]).copy()
 
 
-def _is_encoded_array(obj: Any) -> bool:
-    return isinstance(obj, dict) and "__ndarray__" in obj
-
-
 # ---------------------------------------------------------------------
 # Per-estimator field tables: constructor params + fitted attributes.
 # ---------------------------------------------------------------------

@@ -17,8 +17,7 @@ Design constraints, matching the rest of ``obs``:
 * **Lock-light.**  One short critical section per event (a deque
   append plus a tick increment); no allocation beyond the event
   itself.  Hot paths record at batch granularity, not per query, so
-  the measured overhead on the columnar serve path stays under the 5%
-  bench gate (``flight_recorder_overhead`` in BENCH_results.json).
+  the cost is one event per served block whatever its size.
 * **Deterministic.**  Events carry a monotonically increasing ``tick``
   (total events ever recorded, never reset by eviction) and a clock
   timestamp; under a fake clock two identical call sequences produce

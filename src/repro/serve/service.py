@@ -287,8 +287,7 @@ class SelectionService:
         # Flight-recorder hook, at batch granularity (one event per
         # block, outside the batch lock).  The ambient recorder is
         # disabled outside a daemon, so the offline paths pay one
-        # attribute check; the enabled-vs-disabled delta is the
-        # bench-gated flight_recorder_overhead entry.
+        # attribute check.
         recorder = get_recorder()
         if recorder.enabled:
             recorder.record("request", op="select_block",

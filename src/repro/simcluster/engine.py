@@ -199,10 +199,6 @@ class Resource:
         self._in_use = 0
         self._queue: deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def request(self) -> Event:
         ev = self.sim.event()
         if self._in_use < self.capacity:

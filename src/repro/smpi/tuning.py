@@ -352,11 +352,6 @@ class TuningTable:
                             f"({prev!r} vs {algo!r})")
                     seen[size] = algo
 
-    @staticmethod
-    def _config_distance(a: tuple[int, int], b: tuple[int, int]) -> float:
-        return (math.log2(a[0] / b[0]) ** 2
-                + math.log2(a[1] / b[1]) ** 2)
-
     # -- (de)serialization (the paper's JSON artifact) -------------------
     def _collectives_payload(self) -> dict:
         """Serialized form of the *frozen* table: breakpoints deduped

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -354,6 +355,43 @@ class TestParser:
     def test_unknown_cluster_rejected(self):
         with pytest.raises(SystemExit):
             main(["info", "Atlantis"])
+
+
+class TestWorkerCounts:
+    """``collect --workers``, ``train --jobs`` and ``adapt --jobs``
+    take a positive int or -1 (all cores), checked before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "bundle.json", "--jobs", "0"],
+        ["train", "bundle.json", "--jobs", "-2"],
+        ["collect", "--workers", "0"],
+        ["collect", "--workers", "two"],
+        ["adapt", "RI", "--bundle", "bundle.json",
+         "--feedback", "feedback.jsonl", "--jobs", "0"],
+    ])
+    def test_bad_count_exits_2_before_any_work(self, argv, tmp_path,
+                                               monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the count check")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "collect_dataset", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "positive integer or -1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,dest", [
+        (["collect", "--workers", "-1"], "workers"),
+        (["train", "bundle.json", "--jobs", "-1"], "jobs"),
+        (["adapt", "RI", "--bundle", "b", "--feedback", "f",
+          "--jobs", "3"], "jobs"),
+    ])
+    def test_all_cores_and_positive_counts_parse(self, argv, dest):
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, dest) == int(argv[-1])
 
 
 class TestTraceAndReport:

@@ -11,6 +11,7 @@ from repro.core.dataset import (
     feasible_configs,
 )
 from repro.hwmodel import get_cluster
+from repro.ml import parallel as ml_parallel
 from repro.smpi import algorithm_names
 
 
@@ -114,6 +115,27 @@ class TestTuningDataset:
         assert len(serial) == len(parallel)
         assert [r.times for r in serial.records] == \
             [r.times for r in parallel.records]
+
+    def test_all_cores_starts_a_pool(self, monkeypatch):
+        """``workers=-1`` means one worker per core, as ``n_jobs=-1``
+        does for training."""
+        started = []
+
+        class RecordingPool(ml_parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(ml_parallel, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(ml_parallel.os, "cpu_count", lambda: 2)
+        kwargs = {"clusters": [get_cluster("RI")],
+                  "collectives": ("allgather", "alltoall"),
+                  "use_cache": False}
+        pooled = collect_dataset(workers=-1, **kwargs)
+        assert started == [2]
+        assert [r.times for r in pooled.records] == \
+            [r.times for r in collect_dataset(**kwargs).records]
 
     def test_hardware_features_constant_within_cluster(self, mini_dataset):
         X = mini_dataset.feature_matrix()
