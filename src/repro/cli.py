@@ -24,8 +24,9 @@ build system:
     JSONL decision per line.
 ``pml-mpi serve``
     Run the persistent selection daemon: many concurrent clients over
-    a Unix-socket NDJSON protocol, with admission control, per-request
-    deadlines, atomic bundle hot-reload and crash-safe restart.
+    a Unix-socket NDJSON protocol, with an in-flight cap that sheds
+    excess requests, per-request deadlines that degrade to the
+    heuristic floor, atomic bundle hot-reload and crash-safe restart.
 ``pml-mpi sweep``
     OSU-style sweep under a chosen selector, printed as a table.
 ``pml-mpi info``

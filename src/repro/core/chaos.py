@@ -1011,21 +1011,8 @@ def run_daemon_chaos(seed: int = 0, clients: int = 4,
                 report.expect(result.get("status") == "rejected",
                               f"corrupt reload not rejected: "
                               f"{result!r}")
-                # The storm may have tripped the admission breaker;
-                # retry through its cooldown (recovery_timeout_s plus
-                # one half-open probe) under a hard deadline instead of
-                # sleeping a fixed interval.
-                queries = _valid_queries(_rng(seed, "post-corrupt"), 4)
-                deadline = time.monotonic() + 30.0
-                while True:
-                    try:
-                        response = client.select(queries)
-                        break
-                    except DaemonError as exc:
-                        if exc.code != "overloaded" \
-                                or time.monotonic() >= deadline:
-                            raise
-                        time.sleep(0.1)
+                response = client.select(_valid_queries(
+                    _rng(seed, "post-corrupt"), 4))
                 _check_select_response(response, 4, "post-corrupt",
                                        stats)
         except Exception as exc:

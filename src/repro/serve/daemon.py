@@ -8,17 +8,22 @@ format).  This module is the daemon: a single-process stdlib
 :class:`~repro.serve.service.SelectionService` / guard ladder, wrapped
 in the production controls the offline paths never needed:
 
-* **Admission control / backpressure** — a bounded in-flight cap plus
-  a :class:`~repro.core.resilience.CircuitBreaker`: requests beyond
-  the cap are *shed* with a typed ``overloaded`` error (and count as
-  breaker failures), never queued unboundedly; sustained overload
-  trips the breaker open so excess clients get an instant answer
-  while the backlog drains, and a half-open probe re-admits load.
+* **Admission control / backpressure** — a bounded in-flight cap:
+  a request beyond it is *shed* at once with a typed ``overloaded``
+  error, never queued.  Work stays bounded by the cap alone: at most
+  ``max_inflight`` requests await an answer, a deadline miss
+  cancels its batch if it has not started, and a started batch
+  finishes on its pool thread.  Neither a shed request nor a miss
+  sheds any other client.
 * **Per-request deadlines** — ``deadline_ms`` bounds the model path
   via ``asyncio.wait_for``; on expiry the request degrades to the
   snapshot's heuristic-floor service (bounded arithmetic, no model
   inference) and the response is marked ``degraded="deadline-floor"``.
   The client always gets decisions before its deadline matters.
+* **One breaker** — the serving guard's
+  (:class:`~repro.smpi.guard.GuardedSelector`): while it is open the
+  snapshot answers with the heuristic.  ``health`` and ``stats``
+  report its state as ``breaker``.
 * **Atomic hot-reload** — a background task polls the bundle file's
   checksum and swaps a freshly validated
   :class:`~repro.serve.reload.Snapshot` under the store lock;
@@ -56,12 +61,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..core.resilience import (
-    CircuitBreaker,
-    FileLock,
-    atomic_write_text,
-    quarantine,
-)
+from ..core.resilience import FileLock, atomic_write_text, quarantine
 from ..hwmodel.specs import ClusterSpec
 from ..obs.expo import render_prometheus
 from ..obs.live import FlightRecorder, quantiles, set_recorder
@@ -120,8 +120,6 @@ class DaemonConfig:
     state_dir: Path
     bundle: Path | None = None
     max_inflight: int = 4
-    failure_threshold: int = 8
-    recovery_timeout_s: float = 1.0
     default_deadline_ms: float = 1_000.0
     max_batch: int = DEFAULT_MAX_BATCH
     cache_size: int = 4096
@@ -141,8 +139,9 @@ class DaemonConfig:
 
 def _consume_result(future: concurrent.futures.Future) -> None:
     """Swallow the result/exception of an abandoned worker future (a
-    deadline-expired batch keeps running; its outcome is irrelevant but
-    an unretrieved exception would warn at GC time)."""
+    deadline-expired batch that had started keeps running, one still
+    queued is cancelled; either outcome is irrelevant but an
+    unretrieved exception would warn at GC time)."""
     try:
         future.exception()
     except concurrent.futures.CancelledError:
@@ -158,9 +157,6 @@ class SelectionDaemon:
         self.store = SnapshotStore(
             config.spec, config.bundle, cache_size=config.cache_size,
             registry=self.registry)
-        self.admission = CircuitBreaker(
-            failure_threshold=config.failure_threshold,
-            recovery_timeout_s=config.recovery_timeout_s)
         self._counters = {
             k: self.registry.counter(f"serve.daemon.{k}")
             for k in DAEMON_COUNTER_KEYS + DAEMON_AUX_KEYS}
@@ -561,7 +557,7 @@ class SelectionDaemon:
                 request.id, protocol=PROTOCOL_VERSION,
                 verdict=report["verdict"], slos=report["slos"],
                 snapshot=current.version, draining=self._draining,
-                breaker=self.admission.state,
+                breaker=current.service.guard.breaker.state,
                 request_s={"count": self._request_s.count,
                            "p50": p[0.5], "p95": p[0.95],
                            "p99": p[0.99]}), "ok"
@@ -598,7 +594,7 @@ class SelectionDaemon:
                       "lineage": snapshot.lineage},
             draining=self._draining,
             inflight=self._inflight,
-            breaker=self.admission.state,
+            breaker=snapshot.service.guard.breaker.state,
             counters=self.registry.counters())
 
     async def _handle_select(self, request: Request
@@ -607,16 +603,9 @@ class SelectionDaemon:
             return error_response(
                 request.id, "draining",
                 "daemon is draining"), "draining"
-        # Admission control: the breaker sheds instantly while open
-        # (sustained overload or deadline misses tripped it), then the
-        # in-flight cap sheds the marginal request — never queue.
-        if not self.admission.allow_request():
-            return error_response(
-                request.id, "overloaded",
-                f"admission breaker {self.admission.state}"), \
-                "overloaded"
+        # Admission control: the in-flight cap sheds the marginal
+        # request at once — never queue.
         if self._inflight >= self.config.max_inflight:
-            self.admission.record_failure()
             return error_response(
                 request.id, "overloaded",
                 f"{self._inflight} requests in flight "
@@ -639,9 +628,9 @@ class SelectionDaemon:
             except asyncio.TimeoutError:
                 # Deadline expired: degrade to the heuristic floor
                 # (bounded arithmetic, never model inference).  The
-                # abandoned model batch finishes in the background; a
-                # miss counts against admission health.
-                self.admission.record_failure()
+                # cancel passes through wrap_future, so a batch still
+                # queued never runs; one already running finishes on
+                # its pool thread.
                 floor = snapshot.floor.select_block(
                     list(request.records))
                 return ok_response(
@@ -649,7 +638,6 @@ class SelectionDaemon:
                     decisions=floor.to_dicts(),
                     snapshot=snapshot.version,
                     degraded="deadline-floor"), "deadline_floor"
-            self.admission.record_success()
             return ok_response(
                 request.id, decisions=decisions,
                 snapshot=snapshot.version), "ok"

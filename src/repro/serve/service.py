@@ -368,7 +368,7 @@ class SelectionService:
         counts = np.bincount(gid, minlength=nuniq)
         first = so[np.flatnonzero(new)]
         # Distinct keys in first-occurrence order: memo probes, puts and
-        # the guard's row-ordered breaker replay follow the batch order.
+        # the guard's row-order walk follow the batch order.
         order = np.argsort(first, kind="stable")
         rank = np.empty(nuniq, dtype=np.int64)
         rank[order] = np.arange(nuniq)

@@ -7,6 +7,10 @@ drives the interactive loop, the one-shot ``--once`` mode the smoke
 scripts run in CI, and the unit tests (which feed canned responses
 straight into :func:`render_panel`).
 
+The header's ``breaker=`` is the serving guard's breaker state (as
+``stats`` reports it): ``open`` means the snapshot is answering with
+the heuristic.
+
 Request *rate* needs two observations, so the interactive loop diffs
 the Prometheus ``pml_serve_daemon_requests_total`` sample between
 polls; the first frame (and ``--once``) shows cumulative totals only.

@@ -21,6 +21,7 @@ name, which is also the ML classification label.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Any, Generator
 
@@ -172,6 +173,27 @@ def feasible_algorithm_names(collective: str, p: int) -> tuple[str, ...]:
 def is_feasible(collective: str, name: str, p: int) -> bool:
     """Is one named algorithm runnable on a *p*-rank communicator?"""
     return get_algorithm(collective, name).feasible(p)
+
+
+def best_feasible(collective: str, machine: Machine, msg_size: int) -> str:
+    """Cheapest algorithm runnable on *machine*'s communicator, by the
+    analytic cost model (:meth:`CollectiveAlgorithm.estimate`); the
+    first feasible name (sorted order) when no schedule can be priced.
+    The remap of the runtime guard and of the shipped tuning table."""
+    p = int(machine.nodes) * int(machine.ppn)
+    names = feasible_algorithm_names(collective, p)
+    assert names, f"no feasible {collective} algorithm for p={p}"
+    if len(names) == 1:
+        return names[0]
+    best, best_t = names[0], math.inf
+    for name in names:
+        try:
+            t = get_algorithm(collective, name).estimate(machine, msg_size)
+        except Exception:
+            continue
+        if t < best_t:
+            best, best_t = name, t
+    return best
 
 
 def execute(algo: CollectiveAlgorithm, machine: Machine, msg_size: int,

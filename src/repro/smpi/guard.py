@@ -165,9 +165,6 @@ class GuardedSelector(AlgorithmSelector):
         self.namespace = namespace
         self._counters = {k: self.registry.counter(f"{namespace}.{k}")
                           for k in COUNTER_KEYS}
-        #: Most recent decision (diagnostics; ``select`` returns only
-        #: the algorithm name to keep the AlgorithmSelector contract).
-        self.last_decision: GuardDecision | None = None
 
     # -- the guarded hot path -------------------------------------------
     def select(self, collective: str, machine: Machine,
@@ -177,12 +174,19 @@ class GuardedSelector(AlgorithmSelector):
     def explain(self, collective: str, machine: Machine,
                 msg_size: int) -> GuardDecision:
         """Run the guard ladder, returning the full decision record."""
-        decision = self._intake(collective, machine, msg_size)
-        if decision is not None:
-            return self._finish(decision)
+        self._counters["queries"].inc()
+        try:
+            validate_query(collective, machine, msg_size)
+        except InvalidQueryError:
+            self._counters["invalid"].inc()
+            raise
         p = int(machine.nodes) * int(machine.ppn)
-        return self._finish(self._resolve_inner(
-            collective, machine, msg_size, p))
+        # OOD routing happens before the breaker so far-extrapolation
+        # queries neither consume a half-open probe nor count against
+        # the inner selector's health.
+        return (self._ood_rung(collective, machine, msg_size, p)
+                or self._breaker_rung(collective, machine, msg_size, p)
+                or self._resolve_inner(collective, machine, msg_size, p))
 
     def explain_block(self, spec: object, collectives: np.ndarray,
                       nodes: np.ndarray, ppn: np.ndarray,
@@ -192,22 +196,26 @@ class GuardedSelector(AlgorithmSelector):
 
         The caller (the serving layer) guarantees every row already
         satisfies :func:`validate_query` and fits *spec*'s machine
-        bounds, so the bulk path raises no exceptions and builds no
-        per-row Python objects: the OOD check runs array-at-a-time,
-        breaker admission collapses to one state read while the
-        breaker is closed (``allow_request`` is pure in that state),
-        inference goes through one inner ``select_block`` call, and
-        feasibility classification is vectorized per collective.  Rare
-        rows — OOD, refused, infeasible — are replayed through the
-        *same scalar rungs* in row order; so is every admitted row when
-        the inner selector has no ``select_block`` or its call fails.
+        bounds.  ``(algorithms, actions, details)``, the health
+        counters and the breaker's transitions equal those of
+        ``[explain(r) for r in rows]``, in every breaker state: the
+        block walks the scalar rungs in row order behind one
+        vectorized fast path.
 
-        Breaker *admission* is decided once for the whole block while
-        the breaker is closed, so transitions caused by the block's own
-        outcomes affect later blocks, not later rows of this one.  With
-        the breaker held in one state, ``(algorithms, actions,
-        details)`` and the health counters equal ``[explain(r) for r
-        in rows]``.
+        * The OOD check runs array-at-a-time; flagged rows go through
+          the scalar OOD rung (which never touches the breaker, so
+          these rows are answered first).
+        * Every other row passes the scalar breaker rung in row order.
+        * The first admitted row and every row after it are predicted
+          by one inner ``select_block`` call.  Whenever the breaker is
+          closed at an admitted row and every prediction from there on
+          is feasible, those rows are answered at once: while closed,
+          ``allow_request`` is pure, and a run of ``record_success``
+          calls is one call.  With a clean block that is the first
+          admitted row.
+        * Otherwise the admitted row is classified by the scalar rung,
+          or, when the inner has no ``select_block`` or its call failed,
+          resolved through the scalar inner ``select``.
         """
         n = len(msg_size)
         self._counters["queries"].inc(n)
@@ -215,147 +223,103 @@ class GuardedSelector(AlgorithmSelector):
         actions = np.empty(n, dtype=object)
         details = np.empty(n, dtype=object)
         details[:] = ""
-        if n == 0:
-            return algorithms, actions, details
         p64 = nodes * ppn
         machines: dict[tuple[int, int], Machine] = {}
 
-        def machine_at(i: int) -> Machine:
+        def rung_args(i: int) -> tuple[str, Machine, int, int]:
             key = (int(nodes[i]), int(ppn[i]))
             m = machines.get(key)
             if m is None:
                 m = machines[key] = Machine(spec, key[0], key[1])
-            return m
+            return collectives[i], m, int(msg_size[i]), int(p64[i])
 
         def put(i: int, d: GuardDecision) -> None:
             algorithms[i] = d.algorithm
             actions[i] = d.action
             details[i] = d.detail
 
-        # OOD rungs: vectorized mask, scalar `_ood_detail` replay for
-        # the flagged rows (byte-identical detail strings; a row the
-        # scalar rung would keep is un-flagged again).
         ood = np.zeros(n, dtype=bool)
         for collective in dict.fromkeys(collectives.tolist()):
             rows = collectives == collective
             ood[rows] = self._ood_mask(collective, nodes[rows],
                                        ppn[rows], msg_size[rows])
         for i in np.flatnonzero(ood):
-            detail = self._ood_detail(collectives[i], machine_at(i),
-                                      int(msg_size[i]))
-            if detail is None:
-                ood[i] = False
+            decision = self._ood_rung(*rung_args(i))
+            if decision is None:
+                ood[i] = False  # in range by the scalar arithmetic
+            else:
+                put(i, decision)
+
+        rows = np.flatnonzero(~ood)
+        start = predicted = None
+        for pos, i in enumerate(rows.tolist()):
+            args = rung_args(i)
+            refused = self._breaker_rung(*args)
+            if refused is not None:
+                put(i, refused)
                 continue
-            self._counters["ood_fallback"].inc()
-            put(i, self._serve_fallback(
-                collectives[i], machine_at(i), int(msg_size[i]),
-                int(p64[i]), ACTION_OOD, detail))
-
-        # Breaker admission: while closed, allow_request() returns True
-        # without touching state or the (injectable) clock, so the
-        # whole block is admitted on one state read.  Any other state
-        # replays per-row admission in row order — refusal details
-        # capture the state *at refusal time*, as the scalar rung does.
-        candidates = ~ood
-        if self.breaker.state == BREAKER_CLOSED:
-            admitted = candidates
-        else:
-            admitted = np.zeros(n, dtype=bool)
-            for i in np.flatnonzero(candidates):
-                if self.breaker.allow_request():
-                    admitted[i] = True
-                else:
-                    self._counters["breaker_fallback"].inc()
-                    put(i, self._serve_fallback(
-                        collectives[i], machine_at(i), int(msg_size[i]),
-                        int(p64[i]), ACTION_BREAKER,
-                        f"breaker {self.breaker.state}"))
-        idx = np.flatnonzero(admitted)
-        if not len(idx):
-            return algorithms, actions, details
-
-        predictions: np.ndarray | None = None
-        block_fn = getattr(self.inner, "select_block", None)
-        if block_fn is not None:
-            try:
-                predictions = np.asarray(block_fn(
-                    spec, collectives[idx], nodes[idx], ppn[idx],
-                    msg_size[idx]), dtype=object)
-                if len(predictions) != len(idx):
-                    raise RuntimeError(
-                        f"inner returned {len(predictions)} predictions "
-                        f"for {len(idx)} queries")
-            except Exception:
-                predictions = None
-        if predictions is None:
-            # Admission is already held: each row consults the scalar
-            # inner path without re-consulting the breaker.
-            for i in idx:
-                put(i, self._resolve_inner(
-                    collectives[i], machine_at(i), int(msg_size[i]),
-                    int(p64[i])))
-        else:
-            self._classify_block(collectives, p64, msg_size, machine_at,
-                                 idx, predictions, algorithms, actions,
-                                 details)
+            if start is None:
+                start = pos
+                predicted = self._predict_block(
+                    spec, collectives, nodes, ppn, msg_size, p64,
+                    rows[pos:])
+            if predicted is None:
+                put(i, self._resolve_inner(*args))
+                continue
+            predictions, clean = predicted
+            j = pos - start
+            if clean[j] and self.breaker.state == BREAKER_CLOSED:
+                rest = rows[pos:]
+                algorithms[rest] = predictions[j:]
+                actions[rest] = ACTION_MODEL
+                self._counters["served_model"].inc(len(rest))
+                self.breaker.record_success()
+                break
+            prediction = predictions[j]
+            if isinstance(prediction, str):
+                # np.str_ -> str, so the detail repr matches explain's.
+                prediction = str(prediction)
+            put(i, self._classify(*args, prediction))
         return algorithms, actions, details
 
-    def _classify_block(self, collectives: np.ndarray, p64: np.ndarray,
-                        msg_size: np.ndarray, machine_at, idx: np.ndarray,
-                        predictions: np.ndarray, algorithms: np.ndarray,
-                        actions: np.ndarray, details: np.ndarray) -> None:
-        """Vectorized feasibility classification of the admitted rows'
-        predictions, with scalar replay of every guard trip."""
+    def _predict_block(self, spec: object, collectives: np.ndarray,
+                       nodes: np.ndarray, ppn: np.ndarray,
+                       msg_size: np.ndarray, p64: np.ndarray,
+                       rows: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+        """One inner ``select_block`` call over *rows*: the predictions
+        and ``clean``, where ``clean[j]`` says predictions ``j:`` are
+        all feasible.  ``None`` when the inner has no block call, or
+        the call raises or returns the wrong shape."""
+        block_fn = getattr(self.inner, "select_block", None)
+        if block_fn is None:
+            return None
+        sub_coll, sub_p = collectives[rows], p64[rows]
+        try:
+            predictions = np.asarray(block_fn(
+                spec, sub_coll, nodes[rows], ppn[rows], msg_size[rows]),
+                dtype=object)
+        except Exception:
+            return None
+        if predictions.shape != rows.shape:
+            return None
         ok = np.fromiter((isinstance(v, str) for v in predictions),
-                         np.bool_, len(idx))
-        sub_coll = collectives[idx]
-        pp = p64[idx]
+                         np.bool_, len(rows))
         for collective in dict.fromkeys(sub_coll.tolist()):
-            rows = sub_coll == collective
+            sel = sub_coll == collective
             labels = np.array(base.algorithm_names(collective))
+            algos = [base.get_algorithm(collective, name)
+                     for name in labels]
+            min_p = np.array([a.min_processes for a in algos])
+            pow2_req = np.array([a.requires_power_of_two for a in algos])
             # Truncation at 64 chars cannot alias a (short) real label.
-            ps = predictions[rows].astype("U64")
+            ps = predictions[sel].astype("U64")
             kidx = np.minimum(np.searchsorted(labels, ps),
                               len(labels) - 1)
-            known = labels[kidx] == ps
-            min_p = np.array([base.get_algorithm(collective, name)
-                              .min_processes for name in labels])
-            pow2_req = np.array([base.get_algorithm(collective, name)
-                                 .requires_power_of_two
-                                 for name in labels])
-            pr = pp[rows]
-            feas = known & (pr >= min_p[kidx])
-            feas &= ~pow2_req[kidx] | base.power_of_two_mask(pr)
-            ok[rows] &= feas
-        n_ok = int(ok.sum())
-        self._counters["served_model"].inc(n_ok)
-        self._counters["remapped"].inc(len(idx) - n_ok)
-        ok_rows = idx[ok]
-        algorithms[ok_rows] = predictions[ok]
-        actions[ok_rows] = ACTION_MODEL
-        if n_ok == len(idx) and self.breaker.state == BREAKER_CLOSED:
-            # n consecutive record_success() calls from closed are one.
-            self.breaker.record_success()
-            return
-        # Guard trips present (or non-closed breaker): replay outcomes
-        # in row order so breaker transitions match the scalar ladder.
-        for j, i in enumerate(idx):
-            if ok[j]:
-                self.breaker.record_success()
-                continue
-            self.breaker.record_failure()
-            predicted = predictions[j]
-            if isinstance(predicted, str):
-                # np.str_ -> str, so the detail repr matches the
-                # scalar ladder's.
-                predicted = str(predicted)
-            problem = self._prediction_problem(
-                collectives[i], predicted, int(p64[i]))
-            algorithms[i] = self._best_feasible(
-                collectives[i], machine_at(i), int(msg_size[i]),
-                int(p64[i]))
-            actions[i] = ACTION_REMAP
-            details[i] = f"predicted {predicted!r}: {problem}"
+            pr = sub_p[sel]
+            ok[sel] &= (labels[kidx] == ps) & (pr >= min_p[kidx]) \
+                & (~pow2_req[kidx] | base.power_of_two_mask(pr))
+        return predictions, np.logical_and.accumulate(ok[::-1])[::-1]
 
     def _ood_mask(self, collective: str, nodes: np.ndarray,
                   ppn: np.ndarray, msg_size: np.ndarray) -> np.ndarray:
@@ -377,35 +341,27 @@ class GuardedSelector(AlgorithmSelector):
             mask |= np.abs(offset) > margin
         return mask
 
-    def _intake(self, collective: str, machine: Machine,
-                msg_size: int) -> GuardDecision | None:
-        """The ladder's pre-inference rungs: count the query, validate
-        it (raising on malformed input), and serve it from the fallback
-        if it is OOD or the breaker refuses admission.  Returns ``None``
-        when the query should proceed to the inner selector."""
-        self._counters["queries"].inc()
-        try:
-            validate_query(collective, machine, msg_size)
-        except InvalidQueryError:
-            self._counters["invalid"].inc()
-            raise
-        p = int(machine.nodes) * int(machine.ppn)
+    def _ood_rung(self, collective: str, machine: Machine,
+                  msg_size: int, p: int) -> GuardDecision | None:
+        """Serve a query outside the trained envelope from the
+        fallback; ``None`` when it is in distribution."""
+        detail = self._ood_detail(collective, machine, msg_size)
+        if detail is None:
+            return None
+        self._counters["ood_fallback"].inc()
+        return self._serve_fallback(
+            collective, machine, msg_size, p, ACTION_OOD, detail)
 
-        # OOD routing happens before the breaker so far-extrapolation
-        # queries neither consume a half-open probe nor count against
-        # the inner selector's health.
-        ood = self._ood_detail(collective, machine, msg_size)
-        if ood is not None:
-            self._counters["ood_fallback"].inc()
-            return self._serve_fallback(
-                collective, machine, msg_size, p, ACTION_OOD, ood)
-
-        if not self.breaker.allow_request():
-            self._counters["breaker_fallback"].inc()
-            return self._serve_fallback(
-                collective, machine, msg_size, p, ACTION_BREAKER,
-                f"breaker {self.breaker.state}")
-        return None
+    def _breaker_rung(self, collective: str, machine: Machine,
+                      msg_size: int, p: int) -> GuardDecision | None:
+        """Serve the query from the fallback when the breaker refuses
+        it; ``None`` when the breaker admits the inner selector."""
+        if self.breaker.allow_request():
+            return None
+        self._counters["breaker_fallback"].inc()
+        return self._serve_fallback(
+            collective, machine, msg_size, p, ACTION_BREAKER,
+            f"breaker {self.breaker.state}")
 
     def _resolve_inner(self, collective: str, machine: Machine,
                        msg_size: int, p: int) -> GuardDecision:
@@ -446,7 +402,7 @@ class GuardedSelector(AlgorithmSelector):
         # best feasible alternative instead of shipping it.
         self.breaker.record_failure()
         self._counters["remapped"].inc()
-        remapped = self._best_feasible(collective, machine, msg_size, p)
+        remapped = base.best_feasible(collective, machine, msg_size)
         return GuardDecision(
             collective, remapped, ACTION_REMAP,
             f"predicted {predicted!r}: {problem}")
@@ -496,33 +452,8 @@ class GuardedSelector(AlgorithmSelector):
             if algo is not None:
                 self._counters["fallback_floored"].inc()
                 detail += f"; fallback chose infeasible {algo!r}"
-            algo = self._best_feasible(collective, machine, msg_size, p)
+            algo = base.best_feasible(collective, machine, msg_size)
         return GuardDecision(collective, algo, action, detail)
-
-    def _best_feasible(self, collective: str, machine: Machine,
-                       msg_size: int, p: int) -> str:
-        """Cheapest feasible algorithm by the analytic cost model; the
-        first feasible name (deterministic registry order) when the
-        machine cannot price schedules.  Never empty: every collective
-        keeps at least one unconstrained algorithm."""
-        names = base.feasible_algorithm_names(collective, p)
-        assert names, f"no feasible {collective} algorithm for p={p}"
-        if len(names) == 1:
-            return names[0]
-        best, best_t = names[0], math.inf
-        for name in names:
-            try:
-                t = base.get_algorithm(collective, name).estimate(
-                    machine, msg_size)
-            except Exception:
-                continue
-            if t < best_t:
-                best, best_t = name, t
-        return best
-
-    def _finish(self, decision: GuardDecision) -> GuardDecision:
-        self.last_decision = decision
-        return decision
 
     @property
     def counters(self) -> dict[str, int]:

@@ -465,7 +465,13 @@ class TuningTable:
 
 class TableSelector(AlgorithmSelector):
     """Constant-time selector backed by a :class:`TuningTable` — the
-    artifact PML-MPI's online-inference stage ships to the MPI runtime."""
+    artifact PML-MPI's online-inference stage ships to the MPI runtime.
+
+    Off the table's grid the nearest-config answer may be an algorithm
+    the queried communicator cannot run (a power-of-two-only family
+    looked up for a 6-rank job); such an answer is remapped to
+    :func:`~repro.smpi.collectives.base.best_feasible`, as the runtime
+    guard remaps an infeasible model prediction."""
 
     def __init__(self, table: TuningTable) -> None:
         self.table = table
@@ -477,8 +483,11 @@ class TableSelector(AlgorithmSelector):
             raise ValueError(
                 f"tuning table built for {self.table.cluster}, "
                 f"job runs on {machine.spec.name}")
-        return self.table.lookup(collective, machine.nodes, machine.ppn,
+        name = self.table.lookup(collective, machine.nodes, machine.ppn,
                                  msg_size)
+        if base.is_feasible(collective, name, machine.p):
+            return name
+        return base.best_feasible(collective, machine, msg_size)
 
 
 def build_oracle_table(cluster_name: str, collective: str,

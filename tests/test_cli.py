@@ -178,13 +178,20 @@ class TestSelectGuarded:
             for n, p in ((1, 3), (1, 6), (2, 3))
             for m in (1, 64, 4096, 1 << 16, 1 << 20)]
 
-    def test_feasible_and_equal_to_select_batch(self, bundle, tmp_path,
-                                                capsys):
-        """Regression: ``select`` used to print the raw model choice,
-        e.g. recursive_doubling at p = 3."""
+    def test_feasible_and_equal_to_explain(self, bundle, tmp_path,
+                                           capsys):
+        """``select`` prints a fresh guard's ``explain`` on its key, a
+        feasible algorithm (regression: it used to print the raw model
+        choice, e.g. recursive_doubling at p = 3).  ``select-batch``
+        answers one guard's ``explain`` loop over the file, so rows
+        after a breaker trip get the fallback, as in that loop."""
         import json
 
+        from repro.core.bundle import load_selector
+        from repro.hwmodel import get_cluster
+        from repro.simcluster.machine import Machine
         from repro.smpi.collectives import base
+        from repro.smpi.guard import GuardedSelector
 
         path = tmp_path / "queries.jsonl"
         path.write_text("".join(
@@ -196,12 +203,19 @@ class TestSelectGuarded:
         batch = [json.loads(line)["algorithm"]
                  for line in capsys.readouterr().out.splitlines()]
         assert len(batch) == len(self.KEYS)
+        selector = load_selector(bundle)
+        spec = get_cluster("RI")
+        loop = GuardedSelector(selector)
         for (c, n, p, m), expected in zip(self.KEYS, batch):
+            machine = Machine(spec, n, p)
+            assert expected == loop.explain(c, machine, m).algorithm, \
+                (c, n, p, m)
             assert main(["select", "RI", c, str(n), str(p), str(m),
                          "--bundle", str(bundle)]) == 0
             algo = capsys.readouterr().out.strip()
             assert base.is_feasible(c, algo, n * p), (c, n, p, m, algo)
-            assert algo == expected, (c, n, p, m)
+            assert algo == GuardedSelector(selector).explain(
+                c, machine, m).algorithm, (c, n, p, m)
 
     @pytest.mark.parametrize("argv,detail", (
         (["allgather", "1", "4", "0"], "msg_size must be positive"),

@@ -142,6 +142,42 @@ class TestFramework:
             assert direct == via_table
 
 
+class TestShippedTableFeasibility:
+    """The runtime selector ``setup_cluster`` returns answers an
+    algorithm the queried communicator can run, off the table's grid
+    too (regression: a nearest-config answer such as
+    recursive_doubling was returned as-is at a 6-rank job)."""
+
+    @pytest.mark.parametrize("cluster", ("Ray", "RI"))
+    def test_feasible_off_grid_and_lookup_on_grid(self, selector,
+                                                  tmp_path, cluster):
+        import random
+
+        from repro.smpi.collectives import base
+
+        spec = get_cluster(cluster)
+        runtime = PmlMpiFramework(selector, tmp_path).setup_cluster(spec)
+        grid = {(n, p) for n in spec.node_counts for p in spec.ppn_values}
+        off_grid = [(n, p)
+                    for n in range(1, min(8, spec.max_nodes) + 1)
+                    for p in range(2, 33) if (n, p) not in grid
+                    and p <= spec.node.cpu.threads_per_node]
+        rng = random.Random(0)
+        for _ in range(40):
+            n, p = rng.choice(off_grid)
+            for collective in ("allgather", "alltoall"):
+                algo = runtime.select(collective, Machine(spec, n, p),
+                                      1 << rng.randint(0, 20))
+                assert base.is_feasible(collective, algo, n * p), \
+                    (collective, n, p, algo)
+        for n, p in grid:
+            for collective in ("allgather", "alltoall"):
+                for m in spec.msg_sizes:
+                    assert runtime.select(collective,
+                                          Machine(spec, n, p), m) \
+                        == runtime.table.lookup(collective, n, p, m)
+
+
 class TestEmptyGridRegression:
     """An explicitly-passed empty grid must raise, never silently fall
     back to the cluster's default grid (regression: ``or``-based

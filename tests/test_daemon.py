@@ -24,6 +24,7 @@ from repro.serve import (
     SelectionDaemon,
     SnapshotStore,
     file_crc32,
+    quantize_msg_size,
 )
 from repro.serve.daemon import DAEMON_COUNTER_KEYS
 from repro.serve.protocol import (
@@ -32,6 +33,9 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
+from repro.simcluster.machine import Machine
+from repro.smpi.guard import GuardedSelector
+from repro.smpi.heuristics import MvapichDefaultSelector
 
 CHAOS_COLLECTIVES = ("allgather", "alltoall")
 
@@ -272,7 +276,6 @@ def _config(ri_spec, tmp_path, bundle, **overrides):
         ready_file=tmp_path / "ready.json",
         reload_poll_s=0.05,
         drain_timeout_s=2.0,
-        recovery_timeout_s=0.2,
     )
     defaults.update(overrides)
     return DaemonConfig(**defaults)
@@ -588,12 +591,51 @@ class TestDaemonEndToEnd:
         finally:
             service.select_block = original
         assert running_daemon.counters["deadline_floor"] >= 1
+        # Each floor answer is the MVAPICH ladder on the quantized key.
+        floor = GuardedSelector(MvapichDefaultSelector())
+        for q, d in zip(VALID, response["decisions"]):
+            want = floor.explain(
+                q["collective"],
+                Machine(running_daemon.config.spec, q["nodes"], q["ppn"]),
+                quantize_msg_size(q["msg_size"]))
+            assert (d["algorithm"], d["action"], d["detail"]) == \
+                (want.algorithm, want.action, want.detail), q
+
+    def test_deadline_misses_never_shed(self, running_daemon):
+        """Consecutive deadline misses each degrade to the floor; none
+        sheds a later request (the in-flight cap is the one overload
+        control)."""
+        service = running_daemon.store.current().service
+        original = service.select_block
+
+        def slow_select_block(records):
+            time.sleep(0.3)
+            return original(records)
+
+        service.select_block = slow_select_block
+        try:
+            with DaemonClient(
+                    running_daemon.config.socket_path) as client:
+                degraded = [client.select(VALID, deadline_ms=30)
+                            .get("degraded") for _ in range(10)]
+        finally:
+            service.select_block = original
+        assert degraded == ["deadline-floor"] * 10
+        assert running_daemon.counters["overloaded"] == 0
+
+    def test_breaker_field_is_the_serving_guards(self, running_daemon):
+        breaker = running_daemon.store.current().service.guard.breaker
+        with DaemonClient(running_daemon.config.socket_path) as client:
+            assert client.health()["breaker"] == "closed"
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            assert client.health()["breaker"] == "open"
+            assert client.stats()["breaker"] == "open"
 
     def test_overload_sheds_with_typed_error(self, ri_spec, tmp_path,
                                              tiny_bundle):
         daemon = SelectionDaemon(_config(
-            ri_spec, tmp_path, tiny_bundle, max_inflight=0,
-            failure_threshold=10_000))
+            ri_spec, tmp_path, tiny_bundle, max_inflight=0))
         daemon.boot()
         thread = threading.Thread(target=daemon.run)
         thread.start()

@@ -325,8 +325,9 @@ def make_guard(script, **kwargs):
 class TestGuardedSelector:
     def test_clean_prediction_passes_through(self, machine):
         guard = make_guard(["ring"])
-        assert guard.select("allgather", machine, 1024) == "ring"
-        assert guard.last_decision.action == ACTION_MODEL
+        decision = guard.explain("allgather", machine, 1024)
+        assert (decision.algorithm, decision.action) == \
+            ("ring", ACTION_MODEL)
         assert guard.counters["served_model"] == 1
 
     def test_invalid_query_raises_and_counts(self, machine):
@@ -338,24 +339,24 @@ class TestGuardedSelector:
 
     def test_infeasible_prediction_remapped(self, odd_machine):
         guard = make_guard(["recursive_doubling"])
-        algo = guard.select("allgather", odd_machine, 1024)
+        decision = guard.explain("allgather", odd_machine, 1024)
         p = odd_machine.nodes * odd_machine.ppn
-        assert base.is_feasible("allgather", algo, p)
-        assert guard.last_decision.action == ACTION_REMAP
-        assert "power-of-two" in guard.last_decision.detail
+        assert base.is_feasible("allgather", decision.algorithm, p)
+        assert decision.action == ACTION_REMAP
+        assert "power-of-two" in decision.detail
         assert guard.counters["remapped"] == 1
 
     def test_unknown_label_remapped(self, machine):
         guard = make_guard(["__garbage__"])
-        algo = guard.select("alltoall", machine, 64)
-        assert base.is_feasible("alltoall", algo, 16)
-        assert guard.last_decision.action == ACTION_REMAP
+        decision = guard.explain("alltoall", machine, 64)
+        assert base.is_feasible("alltoall", decision.algorithm, 16)
+        assert decision.action == ACTION_REMAP
 
     def test_inner_exception_served_by_fallback(self, machine):
         guard = make_guard([RuntimeError("model exploded")])
-        algo = guard.select("allgather", machine, 1024)
-        assert base.is_feasible("allgather", algo, 16)
-        assert guard.last_decision.action == ACTION_ERROR
+        decision = guard.explain("allgather", machine, 1024)
+        assert base.is_feasible("allgather", decision.algorithm, 16)
+        assert decision.action == ACTION_ERROR
         assert guard.counters["error_fallback"] == 1
 
     def test_breaker_opens_then_recovers(self, machine):
@@ -369,13 +370,13 @@ class TestGuardedSelector:
         assert guard.breaker.state == BREAKER_OPEN
         # While open, the inner selector is not consulted.
         calls_before = guard.inner.calls
-        guard.select("allgather", machine, 1024)
-        assert guard.last_decision.action == ACTION_BREAKER
+        assert guard.explain("allgather", machine, 1024).action == \
+            ACTION_BREAKER
         assert guard.inner.calls == calls_before
         # After the timeout, one probe goes through and closes it.
         clock.advance(11)
-        guard.select("allgather", machine, 1024)
-        assert guard.last_decision.action == ACTION_MODEL
+        assert guard.explain("allgather", machine, 1024).action == \
+            ACTION_MODEL
         assert guard.breaker.state == BREAKER_CLOSED
         assert guard.breaker.cycles() == 1
 
@@ -385,24 +386,24 @@ class TestGuardedSelector:
         guard = GuardedSelector(sel)
         assert guard.envelopes  # lifted from the trained models
         huge = Machine(get_cluster("Frontera"), 2048, 16)
-        algo = guard.select("allgather", huge, 1024)
-        assert guard.last_decision.action == ACTION_OOD
-        assert "octaves" in guard.last_decision.detail
-        assert base.is_feasible("allgather", algo, 2048 * 16)
+        decision = guard.explain("allgather", huge, 1024)
+        assert decision.action == ACTION_OOD
+        assert "octaves" in decision.detail
+        assert base.is_feasible("allgather", decision.algorithm, 2048 * 16)
         assert guard.counters["ood_fallback"] == 1
 
     def test_in_envelope_not_ood(self, mini_dataset):
         sel = offline_train(mini_dataset, collectives=("allgather",))
         guard = GuardedSelector(sel)
         machine = Machine(get_cluster("RI"), 2, 8)
-        guard.select("allgather", machine, 1024)
-        assert guard.last_decision.action == ACTION_MODEL
+        assert guard.explain("allgather", machine, 1024).action == \
+            ACTION_MODEL
 
     def test_no_envelope_disables_ood(self, machine):
         guard = make_guard(["ring"] * 2, envelopes={})
         huge = Machine(get_cluster("Frontera"), 2048, 16)
-        guard.select("allgather", huge, 1024)
-        assert guard.last_decision.action == ACTION_MODEL
+        assert guard.explain("allgather", huge, 1024).action == \
+            ACTION_MODEL
 
     def test_fallback_infeasible_answer_floored(self, odd_machine):
         """Even a misbehaving fallback cannot ship an infeasible
@@ -453,9 +454,8 @@ class TestGuardedSelector:
         assert "queries" in report.describe()
 
     def test_best_feasible_prefers_cheap(self, odd_machine):
-        guard = make_guard([])
         p = odd_machine.nodes * odd_machine.ppn
-        name = guard._best_feasible("allgather", odd_machine, 1 << 20, p)
+        name = base.best_feasible("allgather", odd_machine, 1 << 20)
         names = base.feasible_algorithm_names("allgather", p)
         assert name in names
         best = min(names, key=lambda n: base.get_algorithm(

@@ -2,12 +2,14 @@
 batched SelectionService, JSONL I/O, and the guard/selector block
 paths it is built on."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from repro.core.framework import offline_train
+from repro.core.resilience import CircuitBreaker
 from repro.hwmodel import get_cluster
 from repro.obs.live import FlightRecorder, get_recorder, use_recorder
 from repro.serve import (
@@ -331,6 +333,62 @@ class TestGuardBatch:
                 actions.update(a for _, a, _ in got)
         assert actions == {"model", "remap", "ood-fallback",
                            "breaker-fallback", "error-fallback"}
+
+    def test_batch_matches_scalar_loop_live_breaker(self, ray_spec,
+                                                    trained_guard):
+        """``explain_block`` equals ``[explain(r) for r in rows]`` on a
+        twin guard while a live breaker trips, probes and recovers
+        inside and across blocks: in (algorithm, action, detail), every
+        guard.* counter and every breaker transition.  Each breaker's
+        clock advances one tick per read, so the block path must also
+        read it exactly as often as the scalar loop."""
+        _, trained = trained_guard
+        env = extract_envelopes(trained)
+        inners = {
+            "trained": (trained, None),
+            "mvapich": (MvapichDefaultSelector(), None),
+            "fixed-rd": (FixedSelector("allgather", "recursive_doubling"),
+                         None),
+            "adversary": (KeyedAdversary(raises=False), env),
+            "raising-adversary": (KeyedAdversary(raises=True), env),
+        }
+        shapes = [(1, 2), (1, 3), (2, 3), (1, 6), (2, 6), (1, 16),
+                  (2, 16), (8, 160), (4, 12)]
+        transitions = set()
+        for name, (inner, envelopes) in inners.items():
+            block, loop = (GuardedSelector(
+                inner, envelopes=envelopes, breaker=CircuitBreaker(
+                    failure_threshold=2, recovery_timeout_s=5,
+                    clock=itertools.count().__next__))
+                for _ in range(2))
+            rng = random.Random(name)
+            for _ in range(8):
+                rows = []
+                for _ in range(rng.randint(1, 60)):
+                    n, p = rng.choice(shapes)
+                    rows.append((rng.choice(ALL_COLLECTIVES), n, p,
+                                 rng.choice([1, 2 ** rng.randint(0, 34),
+                                             rng.randint(1, 10**7)])))
+                assert _explain_rows(block, ray_spec, rows) == \
+                    _explain_loop(loop, ray_spec, rows), name
+                assert block.counters == loop.counters, name
+                assert block.breaker.transitions == \
+                    loop.breaker.transitions, name
+            transitions.update(block.breaker.transitions)
+        assert transitions == {("closed", "open"), ("open", "half-open"),
+                               ("half-open", "closed"),
+                               ("half-open", "open")}
+
+    def test_rows_after_a_trip_get_the_breaker_fallback(self, ray_spec):
+        """A trip inside a block refuses the block's later rows, as in
+        the scalar loop: 40 rows at p = 6 under a power-of-two-only
+        inner remap until the default breaker opens, then get the
+        fallback."""
+        guard = GuardedSelector(
+            FixedSelector("allgather", "recursive_doubling"))
+        _explain_rows(guard, ray_spec, [("allgather", 1, 6, 4096)] * 40)
+        assert guard.counters["remapped"] == 5
+        assert guard.counters["breaker_fallback"] == 35
 
     def test_one_inner_batch_call(self, ray_spec):
         inner = _CountingSelector()
