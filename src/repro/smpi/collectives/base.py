@@ -135,12 +135,19 @@ def register(algo: CollectiveAlgorithm) -> CollectiveAlgorithm:
     return algo
 
 
-def algorithms(collective: str) -> dict[str, CollectiveAlgorithm]:
-    """Name -> algorithm mapping for one collective."""
+def _family(collective: str) -> dict[str, CollectiveAlgorithm]:
+    """The registry's own name -> algorithm mapping for one collective
+    (not a copy: the lookups below run on the serving path)."""
     try:
-        return dict(_REGISTRY[collective])
+        return _REGISTRY[collective]
     except KeyError:
         raise ValueError(f"unknown collective {collective!r}") from None
+
+
+def algorithms(collective: str) -> dict[str, CollectiveAlgorithm]:
+    """Name -> algorithm mapping for one collective (a copy the caller
+    may change)."""
+    return dict(_family(collective))
 
 
 def algorithm_names(collective: str) -> tuple[str, ...]:
@@ -150,7 +157,7 @@ def algorithm_names(collective: str) -> tuple[str, ...]:
 
 def get_algorithm(collective: str, name: str) -> CollectiveAlgorithm:
     """Look up one algorithm by collective and name."""
-    family = algorithms(collective)
+    family = _family(collective)
     try:
         return family[name]
     except KeyError:
@@ -166,7 +173,7 @@ def feasible_algorithm_names(collective: str, p: int) -> tuple[str, ...]:
     pairwise / binomial / ...), so this is never empty for ``p >= 1`` —
     the floor the runtime guard's remapping stands on.
     """
-    return tuple(name for name, algo in sorted(algorithms(collective).items())
+    return tuple(name for name, algo in sorted(_family(collective).items())
                  if algo.feasible(p))
 
 

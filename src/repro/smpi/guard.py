@@ -124,6 +124,52 @@ def extract_envelopes(selector: AlgorithmSelector
     return out
 
 
+def _block_call(selector: AlgorithmSelector, spec: object,
+                collectives: np.ndarray, nodes: np.ndarray,
+                ppn: np.ndarray, msg_size: np.ndarray,
+                rows: np.ndarray) -> np.ndarray | None:
+    """*selector*'s ``select_block`` answers for *rows*, as an object
+    array; ``None`` when it has no block call, or the call raises or
+    returns the wrong shape."""
+    block_fn = getattr(selector, "select_block", None)
+    if block_fn is None:
+        return None
+    try:
+        answers = np.asarray(block_fn(
+            spec, collectives[rows], nodes[rows], ppn[rows],
+            msg_size[rows]), dtype=object)
+    except Exception:
+        return None
+    return answers if answers.shape == rows.shape else None
+
+
+def _feasible_mask(collectives: np.ndarray, p: np.ndarray,
+                   answers: np.ndarray) -> np.ndarray:
+    """Row-wise: is ``answers[i]`` a known algorithm name of
+    ``collectives[i]`` that can run on ``p[i]`` ranks?  The vectorized
+    ``_prediction_problem(...) is None`` (same label set, same
+    ``min_processes`` and power-of-two declarations)."""
+    ok = np.fromiter((isinstance(v, str) for v in answers), np.bool_,
+                     len(answers))
+    for collective in dict.fromkeys(collectives.tolist()):
+        sel = collectives == collective
+        labels = np.array(base.algorithm_names(collective))
+        algos = [base.get_algorithm(collective, name) for name in labels]
+        min_p = np.array([a.min_processes for a in algos])
+        pow2_req = np.array([a.requires_power_of_two for a in algos])
+        # Only strings are looked up (a junk object's str() may raise).
+        # The fixed-width copy drops trailing NULs and truncates, so it
+        # only finds the candidate label; the original must equal it.
+        strs = np.where(ok[sel], answers[sel], "")
+        kidx = np.minimum(np.searchsorted(labels, strs.astype("U64")),
+                          len(labels) - 1)
+        ps = p[sel]
+        ok[sel] &= (labels[kidx].astype(object) == strs) \
+            & (ps >= min_p[kidx]) \
+            & (~pow2_req[kidx] | base.power_of_two_mask(ps))
+    return ok
+
+
 class GuardedSelector(AlgorithmSelector):
     """Feasibility-checked, circuit-broken wrapper around a selector.
 
@@ -184,9 +230,18 @@ class GuardedSelector(AlgorithmSelector):
         # OOD routing happens before the breaker so far-extrapolation
         # queries neither consume a half-open probe nor count against
         # the inner selector's health.
-        return (self._ood_rung(collective, machine, msg_size, p)
-                or self._breaker_rung(collective, machine, msg_size, p)
-                or self._resolve_inner(collective, machine, msg_size, p))
+        detail = self._ood_detail(collective, machine.nodes, machine.ppn,
+                                  msg_size)
+        if detail is not None:
+            self._counters["ood_fallback"].inc()
+            return self._serve_fallback(collective, machine, msg_size, p,
+                                        ACTION_OOD, detail)
+        detail = self._breaker_refusal()
+        if detail is not None:
+            self._counters["breaker_fallback"].inc()
+            return self._serve_fallback(collective, machine, msg_size, p,
+                                        ACTION_BREAKER, detail)
+        return self._resolve_inner(collective, machine, msg_size, p)
 
     def explain_block(self, spec: object, collectives: np.ndarray,
                       nodes: np.ndarray, ppn: np.ndarray,
@@ -199,13 +254,15 @@ class GuardedSelector(AlgorithmSelector):
         bounds.  ``(algorithms, actions, details)``, the health
         counters and the breaker's transitions equal those of
         ``[explain(r) for r in rows]``, in every breaker state: the
-        block walks the scalar rungs in row order behind one
-        vectorized fast path.
+        block walks the scalar rungs' decisions in row order behind
+        one vectorized fast path, and answers the fallback rows after
+        the walk.
 
-        * The OOD check runs array-at-a-time; flagged rows go through
-          the scalar OOD rung (which never touches the breaker, so
-          these rows are answered first).
-        * Every other row passes the scalar breaker rung in row order.
+        * The OOD check runs array-at-a-time; each flagged row gets the
+          scalar OOD decision (action, detail).
+        * Every other row passes the breaker's ``allow_request`` in row
+          order; a refused row gets its decision (``breaker open`` /
+          ``breaker half-open``) when it is refused.
         * The first admitted row and every row after it are predicted
           by one inner ``select_block`` call.  Whenever the breaker is
           closed at an admitted row and every prediction from there on
@@ -213,9 +270,20 @@ class GuardedSelector(AlgorithmSelector):
           ``allow_request`` is pure, and a run of ``record_success``
           calls is one call.  With a clean block that is the first
           admitted row.
-        * Otherwise the admitted row is classified by the scalar rung,
-          or, when the inner has no ``select_block`` or its call failed,
-          resolved through the scalar inner ``select``.
+        * Otherwise the admitted row's prediction is judged by the
+          scalar rung (and remapped when infeasible), or, when the
+          inner has no ``select_block`` or its call failed, resolved
+          through the scalar inner ``select``.
+        * The OOD and breaker-refused rows are answered together by one
+          fallback ``select_block`` call, checked by the same
+          feasibility mask as the predictions.  The fallback never
+          touches the breaker, so answering them last changes nothing.
+          A row whose answer is not a known feasible name at its p,
+          or every such row when the fallback has no ``select_block``
+          or its call failed, goes through the scalar floor.
+
+        A :class:`Machine` is built only for the scalar rungs that need
+        one: a remap, the scalar inner ``select`` and the floor.
         """
         n = len(msg_size)
         self._counters["queries"].inc(n)
@@ -243,20 +311,24 @@ class GuardedSelector(AlgorithmSelector):
             rows = collectives == collective
             ood[rows] = self._ood_mask(collective, nodes[rows],
                                        ppn[rows], msg_size[rows])
-        for i in np.flatnonzero(ood):
-            decision = self._ood_rung(*rung_args(i))
-            if decision is None:
+        for i in np.flatnonzero(ood).tolist():
+            detail = self._ood_detail(collectives[i], int(nodes[i]),
+                                      int(ppn[i]), int(msg_size[i]))
+            if detail is None:
                 ood[i] = False  # in range by the scalar arithmetic
             else:
-                put(i, decision)
+                details[i] = detail
+        actions[ood] = ACTION_OOD
+        self._counters["ood_fallback"].inc(int(ood.sum()))
 
         rows = np.flatnonzero(~ood)
+        refused: list[int] = []
         start = predicted = None
         for pos, i in enumerate(rows.tolist()):
-            args = rung_args(i)
-            refused = self._breaker_rung(*args)
-            if refused is not None:
-                put(i, refused)
+            detail = self._breaker_refusal()
+            if detail is not None:
+                refused.append(i)
+                details[i] = detail
                 continue
             if start is None:
                 start = pos
@@ -264,7 +336,7 @@ class GuardedSelector(AlgorithmSelector):
                     spec, collectives, nodes, ppn, msg_size, p64,
                     rows[pos:])
             if predicted is None:
-                put(i, self._resolve_inner(*args))
+                put(i, self._resolve_inner(*rung_args(i)))
                 continue
             predictions, clean = predicted
             j = pos - start
@@ -279,7 +351,28 @@ class GuardedSelector(AlgorithmSelector):
             if isinstance(prediction, str):
                 # np.str_ -> str, so the detail repr matches explain's.
                 prediction = str(prediction)
-            put(i, self._classify(*args, prediction))
+            detail = self._judge(collectives[i], int(p64[i]), prediction)
+            if detail is None:
+                algorithms[i], actions[i] = prediction, ACTION_MODEL
+            else:
+                collective, machine, msg, _ = rung_args(i)
+                put(i, self._remap(collective, machine, msg, detail))
+        actions[refused] = ACTION_BREAKER
+        self._counters["breaker_fallback"].inc(len(refused))
+
+        fallback = ood.copy()
+        fallback[refused] = True
+        rows = np.flatnonzero(fallback)
+        if len(rows):
+            answers = _block_call(self.fallback, spec, collectives,
+                                  nodes, ppn, msg_size, rows)
+            if answers is not None:
+                ok = _feasible_mask(collectives[rows], p64[rows], answers)
+                algorithms[rows[ok]] = answers[ok]
+                rows = rows[~ok]
+            for i in rows.tolist():
+                put(i, self._serve_fallback(*rung_args(i), actions[i],
+                                            details[i]))
         return algorithms, actions, details
 
     def _predict_block(self, spec: object, collectives: np.ndarray,
@@ -291,34 +384,11 @@ class GuardedSelector(AlgorithmSelector):
         and ``clean``, where ``clean[j]`` says predictions ``j:`` are
         all feasible.  ``None`` when the inner has no block call, or
         the call raises or returns the wrong shape."""
-        block_fn = getattr(self.inner, "select_block", None)
-        if block_fn is None:
+        predictions = _block_call(self.inner, spec, collectives, nodes,
+                                  ppn, msg_size, rows)
+        if predictions is None:
             return None
-        sub_coll, sub_p = collectives[rows], p64[rows]
-        try:
-            predictions = np.asarray(block_fn(
-                spec, sub_coll, nodes[rows], ppn[rows], msg_size[rows]),
-                dtype=object)
-        except Exception:
-            return None
-        if predictions.shape != rows.shape:
-            return None
-        ok = np.fromiter((isinstance(v, str) for v in predictions),
-                         np.bool_, len(rows))
-        for collective in dict.fromkeys(sub_coll.tolist()):
-            sel = sub_coll == collective
-            labels = np.array(base.algorithm_names(collective))
-            algos = [base.get_algorithm(collective, name)
-                     for name in labels]
-            min_p = np.array([a.min_processes for a in algos])
-            pow2_req = np.array([a.requires_power_of_two for a in algos])
-            # Truncation at 64 chars cannot alias a (short) real label.
-            ps = predictions[sel].astype("U64")
-            kidx = np.minimum(np.searchsorted(labels, ps),
-                              len(labels) - 1)
-            pr = sub_p[sel]
-            ok[sel] &= (labels[kidx] == ps) & (pr >= min_p[kidx]) \
-                & (~pow2_req[kidx] | base.power_of_two_mask(pr))
+        ok = _feasible_mask(collectives[rows], p64[rows], predictions)
         return predictions, np.logical_and.accumulate(ok[::-1])[::-1]
 
     def _ood_mask(self, collective: str, nodes: np.ndarray,
@@ -341,27 +411,39 @@ class GuardedSelector(AlgorithmSelector):
             mask |= np.abs(offset) > margin
         return mask
 
-    def _ood_rung(self, collective: str, machine: Machine,
-                  msg_size: int, p: int) -> GuardDecision | None:
-        """Serve a query outside the trained envelope from the
-        fallback; ``None`` when it is in distribution."""
-        detail = self._ood_detail(collective, machine, msg_size)
-        if detail is None:
-            return None
-        self._counters["ood_fallback"].inc()
-        return self._serve_fallback(
-            collective, machine, msg_size, p, ACTION_OOD, detail)
+    # -- ladder rungs ----------------------------------------------------
+    #
+    # Each rung is split into a decision (action, detail, breaker
+    # record) that explain and explain_block share, and an answer
+    # (_serve_fallback / _remap), which explain gives at once and
+    # explain_block gives in bulk where it can.
 
-    def _breaker_rung(self, collective: str, machine: Machine,
-                      msg_size: int, p: int) -> GuardDecision | None:
-        """Serve the query from the fallback when the breaker refuses
-        it; ``None`` when the breaker admits the inner selector."""
+    def _ood_detail(self, collective: str, nodes: int, ppn: int,
+                    msg_size: int) -> str | None:
+        """Why the query is outside the trained envelope (the OOD
+        rung's decision); ``None`` when it is in distribution."""
+        env = self.envelopes.get(collective)
+        if not env:
+            return None
+        values = {"nodes": nodes, "ppn": ppn, "msg_size": msg_size}
+        margin = self.ood_margin_log2
+        for dim, (lo, hi) in env.items():
+            value = values.get(dim)
+            if value is None or lo <= 0:
+                continue
+            offset = math.log2(value / lo) if value < lo \
+                else math.log2(value / hi) if value > hi else 0.0
+            if abs(offset) > margin:
+                return (f"{dim}={value} is {abs(offset):.1f} octaves "
+                        f"outside trained envelope [{lo:g}, {hi:g}]")
+        return None
+
+    def _breaker_refusal(self) -> str | None:
+        """The breaker rung's decision: ``None`` when the breaker
+        admits the inner selector, else the breaker-fallback detail."""
         if self.breaker.allow_request():
             return None
-        self._counters["breaker_fallback"].inc()
-        return self._serve_fallback(
-            collective, machine, msg_size, p, ACTION_BREAKER,
-            f"breaker {self.breaker.state}")
+        return f"breaker {self.breaker.state}"
 
     def _resolve_inner(self, collective: str, machine: Machine,
                        msg_size: int, p: int) -> GuardDecision:
@@ -384,48 +466,32 @@ class GuardedSelector(AlgorithmSelector):
             return self._serve_fallback(
                 collective, machine, msg_size, p, ACTION_ERROR,
                 f"inner selector raised {type(exc).__name__}: {exc}")
-        return self._classify(collective, machine, msg_size, p, predicted)
+        detail = self._judge(collective, p, predicted)
+        if detail is None:
+            return GuardDecision(collective, str(predicted), ACTION_MODEL)
+        return self._remap(collective, machine, msg_size, detail)
 
-    def _classify(self, collective: str, machine: Machine,
-                  msg_size: int, p: int,
-                  predicted: object) -> GuardDecision:
-        """Feasibility-classify one inner prediction: ship it, or remap
-        an infeasible/unknown one (a guard trip either way recorded
-        against the breaker)."""
+    def _judge(self, collective: str, p: int,
+               predicted: object) -> str | None:
+        """Feasibility-classify one inner prediction and record it
+        against the breaker: ``None`` ships it; otherwise the remap
+        detail (an infeasible or unknown prediction is a guard trip)."""
         problem = self._prediction_problem(collective, predicted, p)
         if problem is None:
             self.breaker.record_success()
             self._counters["served_model"].inc()
-            return GuardDecision(collective, str(predicted), ACTION_MODEL)
-
-        # Infeasible or unknown prediction: a guard trip; remap to the
-        # best feasible alternative instead of shipping it.
+            return None
         self.breaker.record_failure()
         self._counters["remapped"].inc()
-        remapped = base.best_feasible(collective, machine, msg_size)
-        return GuardDecision(
-            collective, remapped, ACTION_REMAP,
-            f"predicted {predicted!r}: {problem}")
+        return f"predicted {predicted!r}: {problem}"
 
-    # -- ladder rungs ----------------------------------------------------
-    def _ood_detail(self, collective: str, machine: Machine,
-                    msg_size: int) -> str | None:
-        env = self.envelopes.get(collective)
-        if not env:
-            return None
-        values = {"nodes": machine.nodes, "ppn": machine.ppn,
-                  "msg_size": msg_size}
-        margin = self.ood_margin_log2
-        for dim, (lo, hi) in env.items():
-            value = values.get(dim)
-            if value is None or lo <= 0:
-                continue
-            offset = math.log2(value / lo) if value < lo \
-                else math.log2(value / hi) if value > hi else 0.0
-            if abs(offset) > margin:
-                return (f"{dim}={value} is {abs(offset):.1f} octaves "
-                        f"outside trained envelope [{lo:g}, {hi:g}]")
-        return None
+    def _remap(self, collective: str, machine: Machine, msg_size: int,
+               detail: str) -> GuardDecision:
+        """Answer a judged-infeasible prediction with the best feasible
+        alternative instead of shipping it."""
+        return GuardDecision(
+            collective, base.best_feasible(collective, machine, msg_size),
+            ACTION_REMAP, detail)
 
     def _prediction_problem(self, collective: str, predicted: object,
                             p: int) -> str | None:
@@ -441,7 +507,8 @@ class GuardedSelector(AlgorithmSelector):
     def _serve_fallback(self, collective: str, machine: Machine,
                         msg_size: int, p: int, action: str,
                         detail: str) -> GuardDecision:
-        """Answer from the fallback heuristic, feasibility-enforced."""
+        """Answer from the fallback heuristic, feasibility-enforced:
+        the scalar floor under every fallback answer."""
         try:
             algo = self.fallback.select(collective, machine, msg_size)
         except Exception as exc:

@@ -108,8 +108,8 @@ class AlgorithmSelector(abc.ABC):
     spec and returning an object array of algorithm-name strings,
     row-for-row identical to a loop over :meth:`select`.
     :meth:`~repro.smpi.guard.GuardedSelector.explain_block` probes for
-    that method with ``getattr`` and calls :meth:`select` per row when
-    it is absent.
+    that method with ``getattr``, on its inner selector and on its
+    fallback, and calls :meth:`select` per row when it is absent.
     """
 
     @abc.abstractmethod

@@ -19,6 +19,8 @@ verifier applies to live daemon replies.
 :class:`TestBlockPathCost` checks that the block path never falls back
 to scalar cost: a whole stream reaches the model as one call on its
 distinct keys, and its per-query cost stays far below ``explain``'s.
+:class:`TestFallbackPathCost` holds the fallback rows (open breaker,
+out of envelope) to the same rule: one fallback call per block.
 """
 
 import random
@@ -52,6 +54,8 @@ from repro.smpi.guard import (
     GuardedSelector,
     extract_envelopes,
 )
+from repro.smpi import guard as guard_module
+from repro.smpi import heuristics
 from repro.smpi.heuristics import (
     MAX_MSG_SIZE,
     FixedSelector,
@@ -59,7 +63,7 @@ from repro.smpi.heuristics import (
     OpenMpiDefaultSelector,
 )
 
-from .serve_oracle import KeyedAdversary, Oracle
+from .serve_oracle import KeyedAdversary, Oracle, block_args
 from .timing import best_interleaved
 
 
@@ -424,6 +428,85 @@ class TestBlockPathCost:
         assert speedup >= MIN_SPEEDUP_VS_SCALAR, (
             f"block path {speedup:.1f}x below scalar explain per query "
             f"(floor {MIN_SPEEDUP_VS_SCALAR}x)")
+
+
+class _CountingFallback(MvapichDefaultSelector):
+    """The MVAPICH fallback, recording its block calls' rows and
+    counting its scalar calls."""
+
+    def __init__(self):
+        self.block_rows = []
+        self.scalar_calls = 0
+
+    def select(self, collective, machine, msg_size):
+        self.scalar_calls += 1
+        return super().select(collective, machine, msg_size)
+
+    def select_block(self, spec, collectives, nodes, ppn, msg_size):
+        self.block_rows.append(list(zip(
+            collectives.tolist(), nodes.tolist(), ppn.tolist(),
+            msg_size.tolist())))
+        return super().select_block(spec, collectives, nodes, ppn,
+                                    msg_size)
+
+
+class TestFallbackPathCost:
+    def test_open_breaker_block_is_one_fallback_call(
+            self, ri_spec, ri_allgather_selector, monkeypatch):
+        """With the breaker held open (tripped, frozen clock), a
+        600-row block mixing OOD and in-envelope keys is answered by one
+        fallback ``select_block`` call carrying every row, with no
+        fallback ``select``, no ``Machine`` built, no
+        ``validate_query`` and no inner call; its answers and counters
+        equal an ``explain`` loop on a twin guard."""
+        selector = ri_allgather_selector
+        rng = np.random.default_rng(3)
+        rows = [("allgather", int(rng.integers(1, 3)),
+                 int(rng.integers(1, 17)), int(2 ** rng.integers(0, 31)))
+                for _ in range(600)]
+
+        def open_guard():
+            breaker = CircuitBreaker(failure_threshold=1,
+                                     recovery_timeout_s=5,
+                                     clock=lambda: 0.0)
+            breaker.record_failure()
+            fallback = _CountingFallback()
+            return GuardedSelector(selector, fallback=fallback,
+                                   breaker=breaker), fallback
+
+        loop, _ = open_guard()
+        expected = []
+        for c, n, p, m in rows:
+            d = loop.explain(c, Machine(ri_spec, n, p), m)
+            expected.append((d.algorithm, d.action, d.detail))
+
+        guard, fallback = open_guard()
+        calls = {}
+
+        def count(owner, name):
+            calls[name] = seen = []
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                seen.append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(selector, "select_block")
+        count(selector, "select")
+        count(Machine, "__init__")
+        count(guard_module, "validate_query")
+        count(heuristics, "validate_query")
+        out = guard.explain_block(ri_spec, *block_args(rows))
+
+        assert fallback.block_rows == [rows]
+        assert fallback.scalar_calls == 0
+        assert all(seen == [] for seen in calls.values()), \
+            {name: len(seen) for name, seen in calls.items()}
+        assert list(zip(*(a.tolist() for a in out))) == expected
+        assert guard.counters == loop.counters
+        assert guard.counters["ood_fallback"] > 0
+        assert guard.counters["breaker_fallback"] > 0
 
 
 # ---------------------------------------------------------------------------

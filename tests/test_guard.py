@@ -183,6 +183,26 @@ class TestFeasibilityPredicates:
         assert base.is_feasible("allgather", "recursive_doubling", 8)
         assert not base.is_feasible("allgather", "recursive_doubling", 6)
 
+    def test_lookups_read_the_registry_not_a_copy(self, monkeypatch):
+        """``algorithms()`` hands out a copy: changing it leaves
+        ``get_algorithm`` unchanged, and the serving-path lookups never
+        build one."""
+        ring = base.get_algorithm("allgather", "ring")
+        copy = base.algorithms("allgather")
+        copy["ring"] = None
+        copy["bogus"] = ring
+        copies = []
+        monkeypatch.setattr(base, "algorithms",
+                            lambda c: copies.append(c))
+        assert base.get_algorithm("allgather", "ring") is ring
+        with pytest.raises(KeyError, match="'bogus'; known: .*ring"):
+            base.get_algorithm("allgather", "bogus")
+        with pytest.raises(ValueError, match="unknown collective"):
+            base.get_algorithm("gather", "ring")
+        assert "ring" in base.feasible_algorithm_names("allgather", 6)
+        assert base.is_feasible("allgather", "ring", 6)
+        assert copies == []
+
     def test_heuristics_never_return_infeasible(self, odd_machine):
         """MVAPICH thresholds are gated on the registry predicates, so
         at p=6 the RD buckets fall through to feasible families."""
@@ -503,12 +523,10 @@ class TestEnvelope:
                                      "msg_size": (1.0, 1 << 20)}},
             ood_margin_log2=1.0)
         # 1 octave outside is tolerated, >1 octave is OOD.
-        assert guard._ood_detail(
-            "allgather", _Shape(4, 8), 1024) is None
-        detail = guard._ood_detail("allgather", _Shape(16, 8), 1024)
+        assert guard._ood_detail("allgather", 4, 8, 1024) is None
+        detail = guard._ood_detail("allgather", 16, 8, 1024)
         assert detail is not None and "nodes" in detail
-        assert guard._ood_detail(
-            "allgather", _Shape(2, 8), 1 << 22) is not None
+        assert guard._ood_detail("allgather", 2, 8, 1 << 22) is not None
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):

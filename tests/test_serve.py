@@ -379,6 +379,118 @@ class TestGuardBatch:
                                ("half-open", "closed"),
                                ("half-open", "open")}
 
+    def test_batch_matches_scalar_loop_fallbacks(self, ray_spec,
+                                                 trained_guard):
+        """As the live-breaker differential, varying the fallback: the
+        heuristics, a fallback with no block call that raises for
+        alltoall, and MVAPICH variants whose ``select_block`` raises,
+        returns one row short, or answers an unknown name for some
+        rows.  Equal in (algorithm, action, detail), every guard.*
+        counter (``fallback_floored`` included) and every breaker
+        transition."""
+        _, trained = trained_guard
+        env = extract_envelopes(trained)
+
+        class RaisingBlock(MvapichDefaultSelector):
+            def select_block(self, *args):
+                raise RuntimeError("block path down")
+
+        class ShortBlock(MvapichDefaultSelector):
+            def select_block(self, *args):
+                return super().select_block(*args)[:-1]
+
+        class UnknownSome(MvapichDefaultSelector):
+            """Answers an unknown name for every third message size,
+            in ``select`` and ``select_block`` alike."""
+
+            def select(self, collective, machine, msg_size):
+                algo = super().select(collective, machine, msg_size)
+                return "no_such_algorithm" if msg_size % 3 == 0 else algo
+
+            def select_block(self, spec, collectives, nodes, ppn,
+                             msg_size):
+                out = super().select_block(spec, collectives, nodes, ppn,
+                                           msg_size)
+                out[msg_size % 3 == 0] = "no_such_algorithm"
+                return out
+
+        fallbacks = {
+            "mvapich": MvapichDefaultSelector,
+            "openmpi": OpenMpiDefaultSelector,
+            "fixed-ring": lambda: FixedSelector("allgather", "ring"),
+            "raising-block": RaisingBlock,
+            "short-block": ShortBlock,
+            "unknown-some": UnknownSome,
+        }
+        inners = {
+            "fixed-rd": FixedSelector("allgather", "recursive_doubling"),
+            "trained": trained,
+        }
+        shapes = [(1, 2), (1, 3), (2, 3), (1, 6), (2, 6), (1, 12),
+                  (1, 16), (2, 16), (8, 160), (4, 12)]
+        details = set()
+        for (fname, make), (iname, inner) in itertools.product(
+                fallbacks.items(), inners.items()):
+            block, loop = (GuardedSelector(
+                inner, fallback=make(), envelopes=env,
+                breaker=CircuitBreaker(
+                    failure_threshold=2, recovery_timeout_s=5,
+                    clock=itertools.count().__next__))
+                for _ in range(2))
+            rng = random.Random(f"{fname}|{iname}")
+            for _ in range(6):
+                rows = []
+                for _ in range(rng.randint(1, 60)):
+                    n, p = rng.choice(shapes)
+                    rows.append((rng.choice(("allgather", "alltoall")),
+                                 n, p, rng.choice([
+                                     2 ** rng.randint(0, 34),
+                                     rng.randint(1, 10**7)])))
+                got = _explain_rows(block, ray_spec, rows)
+                assert got == _explain_loop(loop, ray_spec, rows), \
+                    (fname, iname)
+                assert block.counters == loop.counters, (fname, iname)
+                assert block.breaker.transitions == \
+                    loop.breaker.transitions, (fname, iname)
+                details.update(d.split("; ", 1)[-1] for _, _, d in got
+                               if "; " in d)
+            assert block.counters["ood_fallback"] > 0, (fname, iname)
+            assert block.counters["breaker_fallback"] > 0, (fname, iname)
+            if fname in ("openmpi", "unknown-some"):
+                assert block.counters["fallback_floored"] > 0, fname
+        assert "fallback raised ValueError" in details
+        assert "fallback chose infeasible 'recursive_doubling'" in details
+        assert "fallback chose infeasible 'no_such_algorithm'" in details
+
+    def test_nul_padded_names_judged_as_scalar(self, ray_spec):
+        """A name that equals a label only after NumPy's fixed-width
+        string copy (which drops trailing NULs) is unknown to
+        ``explain``.  The block path judges it the same, as an inner
+        prediction (remapped) and as a fallback answer (floored)."""
+        class NulPadded(MvapichDefaultSelector):
+            def _name(self, msg_size):
+                return ("ring\x00", "ring", "bruck\x00\x00")[msg_size % 3]
+
+            def select(self, collective, machine, msg_size):
+                super().select(collective, machine, msg_size)
+                return self._name(msg_size)
+
+            def select_block(self, spec, collectives, nodes, ppn,
+                             msg_size):
+                return np.array([self._name(m) for m in msg_size.tolist()],
+                                dtype=object)
+
+        rows = [("allgather", 1, 8, m) for m in range(1000, 1012)]
+        for state in ("closed", "open"):
+            block, loop = (GuardedSelector(
+                NulPadded(), fallback=NulPadded(),
+                breaker=held_breaker(state)) for _ in range(2))
+            got = _explain_rows(block, ray_spec, rows)
+            assert got == _explain_loop(loop, ray_spec, rows), state
+            assert block.counters == loop.counters, state
+            assert not any("\x00" in a for a, _, _ in got), state
+        assert block.counters["fallback_floored"] == 8
+
     def test_rows_after_a_trip_get_the_breaker_fallback(self, ray_spec):
         """A trip inside a block refuses the block's later rows, as in
         the scalar loop: 40 rows at p = 6 under a power-of-two-only
