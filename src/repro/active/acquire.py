@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.features import ALL_FEATURE_NAMES, feature_vector
+from ..core.features import ALL_FEATURE_NAMES, feature_block
 from ..hwmodel.specs import ClusterSpec
 from ..ml.uncertainty import prediction_margin, vote_entropy
 
@@ -161,21 +161,17 @@ def estimated_core_hours(spec: ClusterSpec, collective: str,
 
 def candidate_features(pool: list[Candidate], indices: list[int],
                        specs: dict[str, ClusterSpec]) -> np.ndarray:
-    """Full 14-column feature rows for ``pool[i] for i in indices``.
-
-    Hardware features are extracted once per cluster (same memo shape
-    as :meth:`TuningDataset.feature_matrix`)."""
-    cache: dict[str, np.ndarray] = {}
-    out = np.empty((len(indices), len(ALL_FEATURE_NAMES)))
-    for row, i in enumerate(indices):
-        cand = pool[i]
-        hw = cache.get(cand.cluster)
-        if hw is None:
-            hw = cache[cand.cluster] = feature_vector(
-                specs[cand.cluster], 1, 1, 0)[3:]
-        out[row, :3] = (float(cand.nodes), float(cand.ppn),
-                        float(cand.msg_size))
-        out[row, 3:] = hw
+    """Full 14-column feature rows for ``pool[i] for i in indices``,
+    one :func:`~repro.core.features.feature_block` per cluster (as
+    :meth:`TuningDataset.feature_matrix` builds them)."""
+    cands = [pool[i] for i in indices]
+    mpi = np.array([(c.nodes, c.ppn, c.msg_size) for c in cands],
+                   dtype=float).reshape(-1, 3)
+    names = np.array([c.cluster for c in cands])
+    out = np.empty((len(cands), len(ALL_FEATURE_NAMES)))
+    for name in dict.fromkeys(names.tolist()):
+        rows = names == name
+        out[rows] = feature_block(specs[name], *mpi[rows].T)
     return out
 
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -108,6 +109,27 @@ def _worker_count(text: str) -> int:
             f"expected a positive integer or -1 (all cores), "
             f"got {text!r}")
     return value
+
+
+def _finite(cast, what: str, zero_ok: bool = False):
+    """An argparse type for the daemon's counts and durations: *cast*
+    of the text, finite and positive (or zero, if *zero_ok*), checked
+    before any state is touched, like :func:`_worker_count`."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan  # not a number: rejected below
+        if not (0 < value < math.inf or (zero_ok and value == 0)):
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _finite(int, "a positive integer")
+_positive_float = _finite(float, "a positive finite number")
+_nonnegative_float = _finite(float, "a finite number >= 0", zero_ok=True)
 
 
 def _clusters_arg(names: list[str] | None):
@@ -342,7 +364,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ready_file=args.ready_file,
         recorder_capacity=args.recorder_capacity,
         slos=slos,
-        adapt_log=args.adapt_log,
     )
     daemon = SelectionDaemon(config)
     try:
@@ -674,38 +695,39 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PATH",
                    help="write a JSON readiness record here once "
                         "listening (for supervisors and tests)")
-    p.add_argument("--max-inflight", type=int, default=4, metavar="N",
+    p.add_argument("--max-inflight", type=_positive_int, default=4,
+                   metavar="N",
                    help="select requests in flight before shedding "
                         "with 'overloaded' (default 4)")
-    p.add_argument("--deadline-ms", type=float, default=1000.0,
+    p.add_argument("--deadline-ms", type=_positive_float, default=1000.0,
                    metavar="MS",
                    help="default per-request deadline before "
                         "degrading to the heuristic floor "
                         "(default 1000)")
-    p.add_argument("--max-batch", type=int, default=10_000, metavar="N",
+    p.add_argument("--max-batch", type=_positive_int, default=10_000,
+                   metavar="N",
                    help="max queries per select request "
                         "(default 10000)")
-    p.add_argument("--cache-size", type=int, default=4096, metavar="N",
+    p.add_argument("--cache-size", type=_positive_int, default=4096,
+                   metavar="N",
                    help="LRU memo capacity in distinct keys "
                         "(default 4096)")
-    p.add_argument("--reload-poll-s", type=float, default=2.0,
+    p.add_argument("--reload-poll-s", type=_positive_float, default=2.0,
                    metavar="S",
                    help="bundle checksum poll interval (default 2)")
-    p.add_argument("--drain-timeout-s", type=float, default=5.0,
+    p.add_argument("--drain-timeout-s", type=_nonnegative_float,
+                   default=5.0,
                    metavar="S",
                    help="max wait for in-flight requests on shutdown "
                         "(default 5)")
-    p.add_argument("--recorder-capacity", type=int, default=256,
+    p.add_argument("--recorder-capacity", type=_positive_int,
+                   default=256,
                    metavar="N",
                    help="flight-recorder ring size — the history the "
                         "'tail' op can return (default 256)")
     p.add_argument("--slo", type=Path, default=None, metavar="JSON",
                    help="SLO config file (JSON list of specs) for the "
                         "'health' op; default: built-in daemon SLOs")
-    p.add_argument("--adapt-log", type=Path, default=None,
-                   metavar="JSONL",
-                   help="adapt sidecar decision log to surface as "
-                        "flight-recorder 'adapt' events")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -800,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "collective/nodes/ppn/msg_size keys")
     p.add_argument("--output", type=Path, default=None, metavar="JSONL",
                    help="decision file (atomic write); default stdout")
-    p.add_argument("--cache-size", type=int, default=4096, metavar="N",
+    p.add_argument("--cache-size", type=_positive_int, default=4096,
+                   metavar="N",
                    help="LRU memo capacity in distinct keys "
                         "(default 4096)")
     p.set_defaults(func=cmd_select_batch)

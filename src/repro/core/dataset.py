@@ -36,7 +36,7 @@ from ..simcluster.machine import Machine
 from ..smpi.collectives import base
 from ..smpi.collectives.base import COLLECTIVES
 from ..smpi.tuning import measured_time
-from .features import ALL_FEATURE_NAMES, feature_vector
+from .features import ALL_FEATURE_NAMES, feature_block
 from .resilience import (
     CorruptArtifactError,
     RetryPolicy,
@@ -135,15 +135,15 @@ class TuningDataset:
 
     # -- matrix form -------------------------------------------------------
     def feature_matrix(self) -> np.ndarray:
-        """(n, 14) matrix in :data:`ALL_FEATURE_NAMES` order."""
-        cache: dict[str, np.ndarray] = {}
+        """(n, 14) matrix in :data:`ALL_FEATURE_NAMES` order, one
+        :func:`feature_block` per cluster."""
+        mpi = np.array([(r.nodes, r.ppn, r.msg_size) for r in self.records],
+                       dtype=float).reshape(-1, 3)
+        names = np.array([r.cluster for r in self.records])
         out = np.empty((len(self.records), len(ALL_FEATURE_NAMES)))
-        for i, r in enumerate(self.records):
-            if r.cluster not in cache:
-                cache[r.cluster] = feature_vector(
-                    get_cluster(r.cluster), 1, 1, 0)[3:]
-            out[i, :3] = (float(r.nodes), float(r.ppn), float(r.msg_size))
-            out[i, 3:] = cache[r.cluster]
+        for name in dict.fromkeys(names.tolist()):
+            rows = names == name
+            out[rows] = feature_block(get_cluster(name), *mpi[rows].T)
         return out
 
     def labels(self) -> np.ndarray:

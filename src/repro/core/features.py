@@ -35,34 +35,12 @@ def feature_vector(spec: ClusterSpec, nodes: int, ppn: int,
     return np.array([float(nodes), float(ppn), float(msg_size)] + hw)
 
 
-def feature_matrix(rows: list[tuple[ClusterSpec, int, int, int]]
-                   ) -> np.ndarray:
-    """Stack feature vectors for many configurations; hardware features
-    are extracted once per distinct cluster.
-
-    The extraction memo is keyed on the spec *object*, not its name:
-    two specs sharing a name but differing in hardware (e.g. a
-    degraded-NetParams variant) must not alias each other's feature
-    rows.  Distinct-but-equal spec objects extract once each, which is
-    only a speed matter, never a correctness one.
-    """
-    cache: dict[int, list[float]] = {}
-    out = np.empty((len(rows), len(ALL_FEATURE_NAMES)))
-    for i, (spec, nodes, ppn, msg) in enumerate(rows):
-        hw = cache.get(id(spec))
-        if hw is None:
-            hw = cache[id(spec)] = cluster_features(spec).as_vector()
-        out[i, :3] = (float(nodes), float(ppn), float(msg))
-        out[i, 3:] = hw
-    return out
-
-
 def feature_block(spec: ClusterSpec, nodes: np.ndarray, ppn: np.ndarray,
                   msg_size: np.ndarray) -> np.ndarray:
-    """Columnar :func:`feature_matrix`: one cluster, whole-array MPI
-    columns, hardware features extracted once and broadcast.  Produces
-    float64 values identical to the per-row path (both go through the
-    same int -> float64 conversion)."""
+    """Feature rows of many configurations of one cluster: whole-array
+    MPI columns, hardware features extracted once and broadcast.
+    Produces float64 values identical to :func:`feature_vector` per
+    row (both go through the same int -> float64 conversion)."""
     hw = cluster_features(spec).as_vector()
     out = np.empty((len(nodes), len(ALL_FEATURE_NAMES)))
     out[:, 0] = nodes

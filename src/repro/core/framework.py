@@ -254,8 +254,7 @@ def diagnose_artifact(path: str | Path) -> ArtifactCheck:
                              "setup serialization lock")
 
     if name.endswith(".tuning.json"):
-        kind, loader = "tuning-table", \
-            lambda: TuningTable.load(path).validate()
+        kind, loader = "tuning-table", lambda: TuningTable.load(path)
     elif name.endswith((".jsonl.gz", ".gz")):
         kind, loader = "dataset-cache", lambda: TuningDataset.load(path)
     elif name.endswith(".jsonl") and "decisions" in name:
@@ -395,7 +394,6 @@ def cross_check_deployment(bundle_path: str | Path,
         problems: list[str] = []
         try:
             table = TuningTable.load(path)
-            table.validate()
         except ArtifactError:
             # doctor_directory already reports the load failure; the
             # cross-check only covers tables that load.

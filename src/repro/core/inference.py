@@ -21,7 +21,7 @@ from ..obs.telemetry import get_registry, get_tracer
 from ..simcluster.machine import Machine
 from ..smpi.heuristics import AlgorithmSelector, validate_query
 from ..smpi.tuning import TuningTable
-from .features import feature_block, feature_matrix, feature_vector
+from .features import feature_block, feature_vector
 from .training import TrainedModel
 
 log = logging.getLogger(__name__)
@@ -117,29 +117,28 @@ def generate_tuning_table(selector: PretrainedSelector, spec: ClusterSpec,
     t0 = time.perf_counter()
     tracer = get_tracer()
     with tracer.span("tune.generate_table", cluster=spec.name) as top:
-        table = TuningTable(cluster=spec.name)
-        n_configs = 0
         configs = [(nodes, ppn, msg)
                    for nodes in node_counts
                    for ppn in ppn_values if nodes * ppn >= 2
                    for msg in msg_sizes]
         if not configs:
             raise ValueError(f"no valid configurations for {spec.name}")
-        rows = [(spec, nodes, ppn, msg) for nodes, ppn, msg in configs]
-        X = feature_matrix(rows)
+        X = feature_block(spec, *np.array(configs, dtype=float).T)
+        entries: dict[str, dict] = {}
         for collective in collectives:
             model = selector.models[collective]
             with tracer.span("tune.predict", collective=collective,
                              configs=len(configs)):
                 predictions = model.predict_batch(X)
+            per = entries[collective] = {}
             for (nodes, ppn, msg), algo in zip(configs, predictions):
-                # TuningTable.add validates the predicted name, so a
-                # degraded model emitting garbage labels fails loudly
-                # here (and the setup_cluster ladder degrades to its
-                # fallback) instead of shipping a nonsensical table.
-                table.add(collective, nodes, ppn, msg, str(algo))
-            n_configs += len(configs)
-        table.validate()
+                per.setdefault((nodes, ppn), []).append((msg, str(algo)))
+        # The constructor validates every predicted name, so a degraded
+        # model emitting garbage labels fails loudly here (and the
+        # setup_cluster ladder degrades to its fallback) instead of
+        # shipping a nonsensical table.
+        table = TuningTable(spec.name, entries)
+        n_configs = len(configs) * len(collectives)
         if top is not None:
             top.attributes["entries"] = n_configs
     get_registry().gauge("tune.table_entries").set(n_configs)

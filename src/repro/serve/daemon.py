@@ -131,10 +131,6 @@ class DaemonConfig:
     recorder_capacity: int = 256
     #: Live SLOs evaluated by the ``health`` op.
     slos: tuple[SloSpec, ...] = DEFAULT_SLOS
-    #: Adaptation decision log (``adapt_decisions.jsonl``) to surface
-    #: as ``adapt`` flight-recorder events; the sidecar writes it from
-    #: another process, so the daemon tails it on the reload poll.
-    adapt_log: Path | None = None
 
 
 def _consume_result(future: concurrent.futures.Future) -> None:
@@ -166,7 +162,6 @@ class SelectionDaemon:
             capacity=config.recorder_capacity)
         self.slo = SloTracker(config.slos, registry=self.registry)
         self._prev_recorder: FlightRecorder | None = None
-        self._adapt_log_pos = 0
         self._lock: FileLock | None = None
         self._booted = False
         self._draining = False
@@ -347,15 +342,13 @@ class SelectionDaemon:
         """Poll the bundle checksum; swap on change (see reload.py).
 
         The poll tick doubles as the daemon's observability heartbeat:
-        each pass snapshots the SLO tracker (so burn-rate windows have
-        history even between ``health`` calls) and tails the adapt
-        sidecar's decision log into the flight recorder.
+        each pass snapshots the SLO tracker, so burn-rate windows have
+        history even between ``health`` calls.
         """
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.reload_poll_s)
             self.slo.tick()
-            self._tail_adapt_log()
             try:
                 result = await loop.run_in_executor(
                     self._reload_pool, self.store.poll)
@@ -376,53 +369,6 @@ class SelectionDaemon:
                 self.recorder.record(
                     "reload", status=result.status,
                     version=self.store.current().version)
-
-    def _tail_adapt_log(self) -> None:
-        """Surface new adapt-decision lines as ``adapt`` events.
-
-        Bounded (256 KiB per tick) and total: unreadable files, a
-        truncated/rotated log, partial trailing lines and non-JSON
-        lines are all tolerated — the recorder shows what it can and
-        the daemon never stumbles over its sidecar.
-        """
-        path = self.config.adapt_log
-        if path is None:
-            return
-        try:
-            size = path.stat().st_size
-            if size < self._adapt_log_pos:  # truncated or rotated
-                self._adapt_log_pos = 0
-            if size == self._adapt_log_pos:
-                return
-            with path.open("rb") as fh:
-                fh.seek(self._adapt_log_pos)
-                chunk = fh.read(
-                    min(size - self._adapt_log_pos, 256 * 1024))
-        except OSError:
-            return
-        end = chunk.rfind(b"\n")
-        if end < 0:  # no complete line yet
-            return
-        self._adapt_log_pos += end + 1
-        for line in chunk[:end].split(b"\n"):
-            try:
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self.recorder.record(
-                    "adapt", verdict="unparseable",
-                    detail=line[:120].decode("utf-8", "replace"))
-                continue
-            if not isinstance(record, dict):
-                continue
-            fence = record.get("fence_tick")
-            if isinstance(fence, bool) or not isinstance(fence, int):
-                fence = 0
-            self.recorder.record(
-                "adapt",
-                verdict=str(record.get("verdict", "?")),
-                phase=str(record.get("phase", "?")),
-                fence_tick=fence,
-                detail=str(record.get("detail", ""))[:200])
 
     # -- connections -----------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,

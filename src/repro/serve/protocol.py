@@ -64,6 +64,7 @@ separators) so byte-identical requests get byte-identical responses.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -180,7 +181,7 @@ def parse_request(line: str | bytes,
             f"request line exceeds {MAX_LINE_BYTES} bytes")
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the digit limit
         raise ProtocolError(f"request is not valid JSON: {exc}") \
             from None
     if not isinstance(record, dict):
@@ -197,11 +198,14 @@ def parse_request(line: str | bytes,
 
     deadline_ms = record.get("deadline_ms")
     if deadline_ms is not None:
+        # ``json.loads`` parses ``NaN``, ``Infinity`` and ``1e400`` to
+        # non-finite floats and a long digit string to an int past the
+        # float range; the range check fails for all of them.
         if isinstance(deadline_ms, bool) \
                 or not isinstance(deadline_ms, (int, float)) \
-                or deadline_ms <= 0:
+                or not 0 < deadline_ms <= sys.float_info.max:
             raise ProtocolError(
-                f"deadline_ms must be a positive number, "
+                f"deadline_ms must be a finite positive number, "
                 f"got {deadline_ms!r}")
         deadline_ms = float(deadline_ms)
 

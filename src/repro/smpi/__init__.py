@@ -25,7 +25,6 @@ from .tuning import (
     OracleSelector,
     TableSelector,
     TuningTable,
-    build_oracle_table,
     clear_measurement_cache,
     measured_time,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "TuningTable",
     "algorithm_names",
     "algorithms",
-    "build_oracle_table",
     "clear_measurement_cache",
     "execute",
     "get_algorithm",

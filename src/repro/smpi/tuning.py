@@ -19,12 +19,11 @@ import bisect
 import json
 import math
 import zlib
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
 
-from ..hwmodel.registry import get_cluster
-from ..obs.telemetry import get_registry
 from ..simcluster.machine import Machine
 from .collectives import base
 from .heuristics import AlgorithmSelector, validate_query
@@ -43,10 +42,6 @@ TABLE_VERSION = 1
 #: on overflow — entries are cheap to recompute.
 _MEASURE_CACHE: dict[tuple, float] = {}
 _MEASURE_CACHE_MAX = 1 << 20
-
-#: Cap on the per-table nearest-config memo (distinct *queried* job
-#: shapes, not stored configs).
-_NEAREST_CACHE_MAX = 1 << 16
 
 
 def _resilience():
@@ -120,256 +115,93 @@ class OracleSelector(AlgorithmSelector):
 class TuningTable:
     """Per-cluster lookup table: (collective, nodes, ppn) -> breakpoints.
 
-    ``entries[collective][(nodes, ppn)]`` is a list of
-    ``(max_msg_size, algorithm)`` pairs; a lookup takes the first
-    breakpoint whose ``max_msg_size`` is >= the requested size (or the
-    last entry for larger messages).
+    ``entries[collective][(nodes, ppn)]`` is a tuple of
+    ``(max_msg_size, algorithm)`` pairs sorted by size; a lookup takes
+    the first breakpoint whose ``max_msg_size`` is >= the requested
+    size (or the last entry for larger messages).
 
-    Hot-path layout: ``add`` is O(1) amortized (append + dirty flag,
-    duplicates replaced last-write-wins); the first lookup after a
-    mutation freezes the table — one sort per config plus a log-space
-    config index — after which each lookup is an O(log b) bisect over
-    the breakpoints, with nearest-config resolution memoized per
-    queried job shape (amortized O(1)).  Ties in the log-space config
-    distance break deterministically toward the smallest
-    ``(nodes, ppn)``.  Touching ``entries`` directly conservatively
-    invalidates the frozen index, so external mutation stays safe.
+    The table is built once, as the paper's compile step emits it, and
+    never changes afterwards.  The constructor runs every structural
+    check (see :meth:`validate`), sorts each config's breakpoints and
+    builds a log-space index of the configs, so a lookup is a dict probe
+    plus an O(log b) bisect; a job shape off the grid resolves to the
+    nearest sampled config in log space, ties broken toward the
+    smallest ``(nodes, ppn)``.
     """
 
     def __init__(self, cluster: str,
-                 entries: dict[str, dict[tuple[int, int],
-                                         list[tuple[int, str]]]]
-                 | None = None) -> None:
+                 entries: Mapping[str, Mapping[tuple[int, int],
+                                               Iterable[tuple[int, str]]]]
+                 ) -> None:
+        res = _resilience()
+        if not cluster or not isinstance(cluster, str):
+            raise res.CorruptArtifactError("table has no cluster name")
+        if not entries:
+            raise res.CorruptArtifactError(
+                f"table for {cluster} has no entries")
         self.cluster = cluster
-        self._entries = entries if entries is not None else {}
-        self._dirty = True
-        #: collective -> {(nodes, ppn): (sorted sizes, algorithms)}
-        self._index: dict[str, dict[tuple[int, int],
-                                    tuple[list[int], list[str]]]] = {}
-        #: collective -> (sorted config keys, log2 nodes, log2 ppn)
-        self._config_index: dict[str, tuple[list[tuple[int, int]],
-                                            np.ndarray, np.ndarray]] = {}
-        #: (collective, nodes, ppn) -> chosen config key
-        self._nearest: dict[tuple[str, int, int], tuple[int, int]] = {}
-        #: (collective, key) -> position of each size in the entries
-        #: list, so replace-on-duplicate needs no scan.
-        self._positions: dict[tuple[str, tuple[int, int]],
-                              dict[int, int]] = {}
-        #: Lookup counters, (re)bound to the ambient registry at freeze
-        #: time so the hot path pays one cached ``inc`` per lookup
-        #: instead of a registry dict probe.
-        self._c_exact = self._c_nearest = self._c_memo = None
+        self.entries = {}
+        #: collective -> (config keys ascending, log2 nodes, log2 ppn)
+        self._index = {}
+        try:
+            for coll, configs in entries.items():
+                per = self.entries[coll] = _section(cluster, coll, configs)
+                log_nodes, log_ppn = np.log2(
+                    np.array(list(per), dtype=float)).T
+                self._index[coll] = (list(per), log_nodes, log_ppn)
+        except res.ArtifactError:
+            raise
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise res.CorruptArtifactError(
+                f"invalid tuning-table entry: {exc}") from None
 
     def __repr__(self) -> str:
-        n = sum(len(bps) for cfgs in self._entries.values()
+        n = sum(len(bps) for cfgs in self.entries.values()
                 for bps in cfgs.values())
         return (f"TuningTable(cluster={self.cluster!r}, "
-                f"collectives={sorted(self._entries)}, "
+                f"collectives={sorted(self.entries)}, "
                 f"breakpoints={n})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TuningTable):
             return NotImplemented
         return (self.cluster == other.cluster
-                and self._entries == other._entries)
+                and self.entries == other.entries)
 
-    @property
-    def entries(self) -> dict:
-        """The raw breakpoint store.  Any access may mutate the nested
-        dicts, so the frozen lookup index and the replace-on-duplicate
-        position map are conservatively invalidated."""
-        self._dirty = True
-        self._positions = {}
-        return self._entries
-
-    @entries.setter
-    def entries(self, value: dict) -> None:
-        self._entries = value
-        self._dirty = True
-        self._positions = {}
-
-    # -- construction ---------------------------------------------------
-    def add(self, collective: str, nodes: int, ppn: int,
-            msg_size: int, algorithm: str) -> None:
-        """Record one breakpoint; a duplicate ``(collective, nodes,
-        ppn, msg_size)`` *replaces* the stored algorithm (last write
-        wins) instead of accumulating a conflicting twin."""
-        base.get_algorithm(collective, algorithm)  # validate name
-        if isinstance(msg_size, float) and not math.isfinite(msg_size):
-            raise ValueError(f"message size must be finite, got {msg_size}")
-        msg_size = int(msg_size)
-        if msg_size < 0:
-            raise ValueError(f"message size must be >= 0, got {msg_size}")
-        if nodes < 1 or ppn < 1:
-            raise ValueError(
-                f"nodes/ppn must be >= 1, got ({nodes}, {ppn})")
-        cfg = self._entries.setdefault(collective, {})
-        key = (nodes, ppn)
-        bps = cfg.setdefault(key, [])
-        pos = self._positions.get((collective, key))
-        if pos is None:
-            # (Re)build the position map from the live list — O(b)
-            # once after external ``entries`` access, O(1) otherwise.
-            pos = {size: i for i, (size, _) in enumerate(bps)}
-            self._positions[(collective, key)] = pos
-        if msg_size in pos:
-            bps[pos[msg_size]] = (msg_size, algorithm)
-        else:
-            pos[msg_size] = len(bps)
-            bps.append((msg_size, algorithm))
-        self._dirty = True
-
-    # -- freeze ----------------------------------------------------------
-    def _freeze(self) -> None:
-        """Build the lookup index: one sort per config, done once per
-        batch of mutations instead of per ``add``."""
-        index: dict[str, dict[tuple[int, int],
-                              tuple[list[int], list[str]]]] = {}
-        config_index: dict[str, tuple[list[tuple[int, int]],
-                                      np.ndarray, np.ndarray]] = {}
-        for coll, configs in self._entries.items():
-            per: dict[tuple[int, int], tuple[list[int], list[str]]] = {}
-            for key, bps in configs.items():
-                dedup: dict[int, str] = {}
-                for size, algo in bps:  # last write wins
-                    dedup[size] = algo
-                sizes = sorted(dedup)
-                per[key] = (sizes, [dedup[s] for s in sizes])
-            index[coll] = per
-            keys = sorted(configs)
-            config_index[coll] = (
-                keys,
-                np.log2(np.array([k[0] for k in keys], dtype=float)),
-                np.log2(np.array([k[1] for k in keys], dtype=float)),
-            )
-        self._index = index
-        self._config_index = config_index
-        self._nearest = {}
-        registry = get_registry()
-        registry.counter("table.freeze").inc()
-        self._c_exact = registry.counter("table.lookup.exact")
-        self._c_nearest = registry.counter("table.lookup.nearest")
-        self._c_memo = registry.counter("table.lookup.nearest_memo_hit")
-        self._dirty = False
-
-    def _nearest_config(self, collective: str, nodes: int,
-                        ppn: int) -> tuple[int, int]:
-        """Nearest sampled config in log space, memoized per queried
-        job shape.  ``argmin`` over keys pre-sorted ascending by
-        ``(nodes, ppn)`` makes distance ties deterministic: the
-        smallest configuration wins."""
-        cache_key = (collective, nodes, ppn)
-        hit = self._nearest.get(cache_key)
-        if hit is not None:
-            self._c_memo.inc()
-            return hit
-        keys, log_nodes, log_ppn = self._config_index[collective]
-        dist = ((log_nodes - math.log2(nodes)) ** 2
-                + (log_ppn - math.log2(ppn)) ** 2)
-        best = keys[int(np.argmin(dist))]
-        if len(self._nearest) >= _NEAREST_CACHE_MAX:
-            self._nearest.clear()
-        self._nearest[cache_key] = best
-        return best
-
-    # -- lookup -----------------------------------------------------------
     def lookup(self, collective: str, nodes: int, ppn: int,
                msg_size: int) -> str:
-        if self._dirty:
-            self._freeze()
         try:
-            configs = self._index[collective]
+            configs = self.entries[collective]
         except KeyError:
             raise KeyError(
                 f"tuning table for {self.cluster} has no "
                 f"{collective} entries") from None
-        if not configs:
-            raise ValueError(
-                f"tuning table for {self.cluster} has an empty "
-                f"{collective} section")
-        key = (nodes, ppn)
-        entry = configs.get(key)
-        if entry is None:
-            self._c_nearest.inc()
-            key = self._nearest_config(collective, nodes, ppn)
-            entry = configs[key]
-        else:
-            self._c_exact.inc()
-        sizes, algos = entry
-        if not sizes:
-            raise ValueError(
-                f"tuning table for {self.cluster} has no breakpoints "
-                f"for {collective} at {key[0]}x{key[1]}")
-        i = bisect.bisect_left(sizes, msg_size)
-        return algos[i] if i < len(algos) else algos[-1]
+        bps = configs.get((nodes, ppn))
+        if bps is None:
+            keys, log_nodes, log_ppn = self._index[collective]
+            dist = ((log_nodes - math.log2(nodes)) ** 2
+                    + (log_ppn - math.log2(ppn)) ** 2)
+            # ``argmin`` takes the first minimum and the keys ascend.
+            bps = configs[keys[int(np.argmin(dist))]]
+        # ``(msg_size,)`` sorts before every ``(msg_size, algorithm)``.
+        i = bisect.bisect_left(bps, (msg_size,))
+        return bps[min(i, len(bps) - 1)][1]
 
-    # -- validation -------------------------------------------------------
     def validate(self) -> None:
-        """Structural sanity check; raises ``CorruptArtifactError``.
-
-        Rejects empty tables, empty per-config breakpoint lists,
-        NaN/negative message-size keys, unknown collective or
+        """No-op: construction already rejected empty tables and
+        sections, empty breakpoint lists, invalid job shapes, NaN,
+        infinite or negative message sizes, unknown collective or
         algorithm names, and *conflicting duplicate breakpoints* (two
-        algorithms claiming the same message size — which would make
-        the decision depend on sort stability) — the
-        nonsensical-decision classes Hunold's performance-guidelines
-        work shows tuned tables can encode.
-        """
-        res = _resilience()
-        if not self.cluster or not isinstance(self.cluster, str):
-            raise res.CorruptArtifactError("table has no cluster name")
-        if not self.entries:
-            raise res.CorruptArtifactError(
-                f"table for {self.cluster} has no entries")
-        for coll, configs in self.entries.items():
-            if not configs:
-                raise res.CorruptArtifactError(
-                    f"table for {self.cluster} has an empty "
-                    f"{coll} section")
-            for (nodes, ppn), bps in configs.items():
-                if not bps:
-                    raise res.CorruptArtifactError(
-                        f"{coll} {nodes}x{ppn}: empty breakpoint list")
-                if nodes < 1 or ppn < 1:
-                    raise res.CorruptArtifactError(
-                        f"{coll}: invalid config {nodes}x{ppn}")
-                seen: dict[int, str] = {}
-                for size, algo in bps:
-                    if (isinstance(size, float)
-                            and not math.isfinite(size)) or size < 0:
-                        raise res.CorruptArtifactError(
-                            f"{coll} {nodes}x{ppn}: invalid message "
-                            f"size {size!r}")
-                    try:
-                        base.get_algorithm(coll, algo)
-                    except KeyError as exc:
-                        raise res.CorruptArtifactError(str(exc)) from None
-                    prev = seen.get(size)
-                    if prev is not None and prev != algo:
-                        raise res.CorruptArtifactError(
-                            f"{coll} {nodes}x{ppn}: conflicting "
-                            f"duplicate breakpoint at {size} B "
-                            f"({prev!r} vs {algo!r})")
-                    seen[size] = algo
+        algorithms claiming one message size) — the nonsensical-decision
+        classes Hunold's performance-guidelines work shows tuned tables
+        can encode — and nothing changes a table after it is built."""
 
     # -- (de)serialization (the paper's JSON artifact) -------------------
-    def _collectives_payload(self) -> dict:
-        """Serialized form of the *frozen* table: breakpoints deduped
-        (last write wins) and sorted exactly once, at freeze time."""
-        if self._dirty:
-            self._freeze()
-        return {
-            coll: {
-                f"{nodes}x{ppn}": [
-                    [s, a] for s, a in zip(*per[(nodes, ppn)])
-                ]
-                for (nodes, ppn) in sorted(per)
-            }
-            for coll, per in self._index.items()
-        }
-
     def to_json(self) -> str:
-        collectives = self._collectives_payload()
+        collectives = {
+            coll: {f"{nodes}x{ppn}": bps
+                   for (nodes, ppn), bps in per.items()}
+            for coll, per in self.entries.items()}
         payload = {
             "format": TABLE_FORMAT,
             "version": TABLE_VERSION,
@@ -388,12 +220,14 @@ class TuningTable:
         ``KeyError`` / ``json.JSONDecodeError`` — so the compile-time
         setup path can quarantine and fall back instead of crashing.
         Tables written before checksums existed (no ``crc32`` /
-        ``version`` field) are accepted if structurally valid.
+        ``version`` field) are accepted if structurally valid.  Two
+        config keys naming one job shape (``"2x8"`` and ``"02x8"``)
+        make the table corrupt.
         """
         res = _resilience()
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past the digit limit
             raise res.CorruptArtifactError(
                 f"tuning table is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
@@ -421,31 +255,21 @@ class TuningTable:
                 raise res.CorruptArtifactError(
                     f"tuning table checksum mismatch: stored "
                     f"{stored_crc}, computed {actual}")
-        table = cls(cluster=cluster)
+        parsed: dict[str, dict[tuple[int, int], list]] = {}
         try:
             for coll, configs in collectives.items():
+                per = parsed[coll] = {}
                 for key, bps in configs.items():
                     nodes, ppn = (int(x) for x in key.split("x"))
-                    seen: dict[int, str] = {}
-                    for max_size, algo in bps:
-                        # ``add`` replaces duplicates (last write
-                        # wins), which would silently mask a stored
-                        # conflict — detect it before adding.
-                        size = int(max_size)
-                        prev = seen.get(size)
-                        if prev is not None and prev != algo:
-                            raise res.CorruptArtifactError(
-                                f"{coll} {key}: conflicting duplicate "
-                                f"breakpoint at {size} B "
-                                f"({prev!r} vs {algo!r})")
-                        seen[size] = algo
-                        table.add(coll, nodes, ppn, max_size, algo)
-        except (KeyError, ValueError, TypeError, AttributeError,
-                OverflowError) as exc:
+                    if (nodes, ppn) in per:
+                        raise ValueError(
+                            f"{coll} config key {key!r} repeats "
+                            f"{nodes}x{ppn}")
+                    per[nodes, ppn] = bps
+        except (AttributeError, TypeError, ValueError) as exc:
             raise res.CorruptArtifactError(
                 f"invalid tuning-table entry: {exc}") from None
-        table.validate()
-        return table
+        return cls(cluster, parsed)
 
     def save(self, path: str | Path) -> Path:
         """Atomic write: a crash mid-save never clobbers the old table."""
@@ -461,6 +285,35 @@ class TuningTable:
             raise _resilience().CorruptArtifactError(
                 f"cannot read tuning table {path}: {exc}") from None
         return cls.from_json(text)
+
+
+def _section(cluster: str, coll: str, configs: Mapping
+             ) -> dict[tuple[int, int], tuple[tuple[int, str], ...]]:
+    """One collective's checked store: configs ascending, each with its
+    breakpoints sorted by size and repeated sizes merged (a repeat
+    naming another algorithm is corrupt)."""
+    corrupt = _resilience().CorruptArtifactError
+    if not configs:
+        raise corrupt(f"table for {cluster} has an empty {coll} section")
+    per = {}
+    for (nodes, ppn), bps in sorted(configs.items()):
+        if nodes < 1 or ppn < 1:
+            raise corrupt(f"{coll}: invalid config {nodes}x{ppn}")
+        if not bps:
+            raise corrupt(f"{coll} {nodes}x{ppn}: empty breakpoint list")
+        by_size: dict[int, str] = {}
+        for size, algo in bps:
+            if not 0 <= size < math.inf:
+                raise corrupt(f"{coll} {nodes}x{ppn}: invalid message "
+                              f"size {size!r}")
+            base.get_algorithm(coll, algo)
+            prev = by_size.setdefault(int(size), algo)
+            if prev != algo:
+                raise corrupt(f"{coll} {nodes}x{ppn}: conflicting "
+                              f"duplicate breakpoint at {int(size)} B "
+                              f"({prev!r} vs {algo!r})")
+        per[nodes, ppn] = tuple(sorted(by_size.items()))
+    return per
 
 
 class TableSelector(AlgorithmSelector):
@@ -489,23 +342,3 @@ class TableSelector(AlgorithmSelector):
             return name
         return base.best_feasible(collective, machine, msg_size)
 
-
-def build_oracle_table(cluster_name: str, collective: str,
-                       node_counts: tuple[int, ...],
-                       ppn_values: tuple[int, ...],
-                       msg_sizes: tuple[int, ...],
-                       iterations: int = DEFAULT_ITERATIONS) -> TuningTable:
-    """Exhaustive offline micro-benchmarking of one cluster: the
-    time-consuming standard approach the paper's Fig. 1/7 prices."""
-    spec = get_cluster(cluster_name)
-    oracle = OracleSelector(iterations)
-    table = TuningTable(cluster=spec.name)
-    for nodes in node_counts:
-        for ppn in ppn_values:
-            if nodes * ppn < 2:
-                continue
-            machine = Machine(spec, nodes, ppn)
-            for msg in msg_sizes:
-                table.add(collective, nodes, ppn, msg,
-                          oracle.select(collective, machine, msg))
-    return table

@@ -554,6 +554,63 @@ class TestTopCommand:
         assert "top:" in capsys.readouterr().err
 
 
+class TestServeFlags:
+    """The daemon's counts and durations are argparse types, so a bad
+    value exits 2 before anything (state dir, lock, boot sentinel) is
+    touched."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "RI", "--max-inflight", "0"],
+        ["serve", "RI", "--max-batch", "-1"],
+        ["serve", "RI", "--cache-size", "0"],
+        ["serve", "RI", "--cache-size", "many"],
+        ["serve", "RI", "--recorder-capacity", "0"],
+        ["serve", "RI", "--deadline-ms", "0"],
+        ["serve", "RI", "--deadline-ms", "nan"],
+        ["serve", "RI", "--reload-poll-s", "0"],
+        ["serve", "RI", "--reload-poll-s", "inf"],
+        ["serve", "RI", "--drain-timeout-s", "-1"],
+        ["serve", "RI", "--drain-timeout-s", "nan"],
+        ["select-batch", "RI", "--bundle", "b.json", "--input", "q.jsonl",
+         "--cache-size", "0"],
+    ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+    def test_bad_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "expected a" in capsys.readouterr().err
+
+    def test_zero_drain_timeout_parses(self):
+        args = cli.build_parser().parse_args(
+            ["serve", "RI", "--drain-timeout-s", "0"])
+        assert args.drain_timeout_s == 0.0
+
+    def test_rejected_boot_leaves_the_bundle_servable(self, bundle,
+                                                      tmp_path):
+        """A ``--cache-size 0`` that died after writing its boot
+        sentinel made the next, correct boot quarantine the bundle."""
+        from repro.hwmodel import get_cluster
+        from repro.serve import DaemonConfig, SelectionDaemon
+
+        served = tmp_path / "bundle.json"
+        served.write_bytes(bundle.read_bytes())
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit):
+            main(["serve", "RI", "--bundle", str(served),
+                  "--state-dir", str(state), "--cache-size", "0"])
+        assert not state.exists()
+        daemon = SelectionDaemon(DaemonConfig(
+            spec=get_cluster("RI"), socket_path=state / "daemon.sock",
+            state_dir=state, bundle=served))
+        daemon.boot()
+        try:
+            assert daemon.store.current().source == "bundle"
+            assert daemon.counters["quarantined_boot"] == 0
+            assert not list(tmp_path.glob("*.corrupt"))
+        finally:
+            daemon._cleanup()
+
+
 class TestServeSloFlag:
     def test_invalid_slo_config_refuses_to_start(self, tmp_path,
                                                  capsys):

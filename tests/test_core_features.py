@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.active.acquire import Candidate, candidate_features
+from repro.core.dataset import CollectiveRecord, TuningDataset
 from repro.core.features import (
     ALL_FEATURE_NAMES,
     MPI_FEATURE_NAMES,
+    feature_block,
     feature_indices,
-    feature_matrix,
     feature_vector,
     select_top_k,
 )
@@ -28,12 +30,23 @@ class TestFeatureVector:
         assert v[idx] == pytest.approx(4.0)
 
     def test_matrix_matches_vectors(self):
-        rows = [(get_cluster("RI"), 2, 4, 64),
-                (get_cluster("Sierra"), 8, 16, 4096)]
-        mat = feature_matrix(rows)
-        assert mat.shape == (2, 14)
-        for i, (spec, n, p, m) in enumerate(rows):
-            np.testing.assert_allclose(mat[i], feature_vector(spec, n, p, m))
+        """The dataset's and the active pool's feature matrices (one
+        feature_block per cluster, clusters interleaved) equal the
+        scalar path row by row."""
+        rows = [("RI", 2, 4, 64), ("Sierra", 8, 16, 4096),
+                ("RI", 1, 2, 1 << 20)]
+        expected = np.stack([feature_vector(get_cluster(c), n, p, m)
+                             for c, n, p, m in rows])
+        ds = TuningDataset([CollectiveRecord(c, "allgather", n, p, m,
+                                             {"ring": 1.0})
+                            for c, n, p, m in rows])
+        assert np.array_equal(ds.feature_matrix(), expected)
+        pool = [Candidate(c, "allgather", n, p, m) for c, n, p, m in rows]
+        specs = {c: get_cluster(c) for c, *_ in rows}
+        assert np.array_equal(
+            candidate_features(pool, [0, 1, 2], specs), expected)
+        assert np.array_equal(candidate_features(pool, [1], specs),
+                              expected[1:2])
 
     def test_feature_indices(self):
         idx = feature_indices(("msg_size", "l3_cache_mib"))
@@ -44,34 +57,33 @@ class TestFeatureVector:
         with pytest.raises(KeyError, match="unknown feature"):
             feature_indices(("bogus",))
 
-    def test_cache_keys_on_spec_identity_not_name(self):
-        """Regression: the hardware-row cache was keyed on spec.name,
-        so two specs sharing a name aliased each other's hardware
-        features.  Identity keying must keep them apart."""
+    def test_specs_sharing_a_name_keep_their_own_rows(self):
+        """Regression: hardware rows were once cached by spec name, so
+        two specs sharing a name (e.g. a degraded-NetParams variant)
+        aliased each other's features; feature_block takes the spec
+        itself."""
         import dataclasses
 
         ri = get_cluster("RI")
         impostor = dataclasses.replace(get_cluster("Sierra"), name="RI")
-        # Warm the cache with the real RI first, then ask for the
-        # impostor under the same name.
-        mat = feature_matrix([(ri, 2, 4, 64), (impostor, 2, 4, 64)])
-        np.testing.assert_allclose(mat[0], feature_vector(ri, 2, 4, 64))
-        np.testing.assert_allclose(
-            mat[1], feature_vector(impostor, 2, 4, 64))
+        cols = (np.array([2]), np.array([4]), np.array([64]))
+        real = feature_block(ri, *cols)[0]
+        fake = feature_block(impostor, *cols)[0]
+        assert np.array_equal(real, feature_vector(ri, 2, 4, 64))
+        assert np.array_equal(fake, feature_vector(impostor, 2, 4, 64))
         # The two rows genuinely differ in their hardware features.
-        assert not np.allclose(mat[0], mat[1])
+        assert not np.array_equal(real, fake)
 
     def test_feature_block_matches_matrix(self):
-        from repro.core.features import feature_block
-
+        """feature_block equals the matrix of stacked scalar vectors."""
         spec = get_cluster("RI")
         nodes = np.array([1, 2, 2], dtype=np.int64)
         ppn = np.array([4, 8, 16], dtype=np.int64)
         msg = np.array([64, 1024, 2**20], dtype=np.int64)
         blk = feature_block(spec, nodes, ppn, msg)
-        rows = [(spec, int(n), int(p), int(m))
-                for n, p, m in zip(nodes, ppn, msg)]
-        np.testing.assert_allclose(blk, feature_matrix(rows))
+        assert np.array_equal(blk, np.stack([
+            feature_vector(spec, int(n), int(p), int(m))
+            for n, p, m in zip(nodes, ppn, msg)]))
 
 
 class TestTopK:

@@ -131,6 +131,22 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=match):
             parse_request(line)
 
+    @pytest.mark.parametrize("token, match", [
+        ("NaN", "finite positive"),
+        ("Infinity", "finite positive"),
+        ("1e400", "finite positive"),  # overflows to infinity
+        ("1" + "0" * 400, "finite positive"),  # an int past float range
+        ("1" * 5000, "not valid JSON"),  # past the int digit limit
+    ], ids=["NaN", "Infinity", "1e400", "400-digit-int", "5000-digit-int"])
+    def test_non_finite_deadline_rejected(self, token, match):
+        """``json.loads`` parses the first three to non-finite floats,
+        and a select carrying one ran with no deadline at all."""
+        line = ('{"id": 1, "op": "select", "deadline_ms": %s, "queries": '
+                '[{"collective": "allgather", "nodes": 2, "ppn": 8, '
+                '"msg_size": 64}]}' % token)
+        with pytest.raises(ProtocolError, match=match):
+            parse_request(line)
+
     def test_batch_cap_enforced(self):
         queries = [{"collective": "allgather", "nodes": 2, "ppn": 8,
                     "msg_size": 1}] * 3

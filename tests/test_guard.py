@@ -127,8 +127,8 @@ class TestAllSelectorsValidate:
             factory().select("gossip", machine, 1024)
 
     def test_table_selector_validates(self, machine):
-        table = TuningTable(cluster="RI")
-        table.add("allgather", 2, 8, 1 << 20, "ring")
+        table = TuningTable("RI",
+                            {"allgather": {(2, 8): [(1 << 20, "ring")]}})
         sel = TableSelector(table)
         with pytest.raises(InvalidQueryError):
             sel.select("allgather", machine, 0)

@@ -43,12 +43,9 @@ SEEDS = (0, 1, 2)
 # -- TuningTable permutation determinism ------------------------------------
 
 def _random_entries(rng, n=60):
-    """Unique-keyed random (collective, nodes, ppn, msg, algo) entries.
-
-    Keys must be unique: TuningTable.add is last-write-wins, so two
-    permutations of entries with a repeated key could legitimately
-    answer differently — that would test dict semantics, not lookup
-    determinism."""
+    """Unique-keyed random (collective, nodes, ppn, msg, algo) entries
+    (a repeated key naming two algorithms would be a conflicting
+    duplicate, which construction rejects)."""
     entries = {}
     while len(entries) < n:
         collective = rng.choice(ALL_COLLECTIVES)
@@ -60,10 +57,13 @@ def _random_entries(rng, n=60):
 
 
 def _build_table(entries):
-    table = TuningTable(cluster="fuzz")
+    """Construct through the constructor, inserting in *entries* order
+    at every level (collective, config, breakpoint)."""
+    store: dict = {}
     for collective, nodes, ppn, msg, algo in entries:
-        table.add(collective, nodes, ppn, msg, algo)
-    return table
+        store.setdefault(collective, {}).setdefault(
+            (nodes, ppn), []).append((msg, algo))
+    return TuningTable("fuzz", store)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

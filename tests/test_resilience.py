@@ -288,6 +288,15 @@ class TestCorruptArtifactMatrix:
         with pytest.raises(CorruptArtifactError, match="not valid JSON"):
             TuningTable.load(path)
 
+    def test_overlong_int_table_is_corrupt(self):
+        """``json.loads`` raises a plain ValueError for an int past
+        the interpreter's digit limit; the setup ladder only catches
+        artifact errors."""
+        text = ('{"cluster": "RI", "collectives": {"allgather": '
+                '{"2x8": [[%s, "ring"]]}}}' % ("1" * 5000))
+        with pytest.raises(CorruptArtifactError, match="not valid JSON"):
+            TuningTable.from_json(text)
+
     def test_table_checksum_mismatch(self, selector, tmp_path):
         fw = PmlMpiFramework(selector, tmp_path)
         fw.setup_cluster(get_cluster("RI"))
@@ -358,30 +367,33 @@ class TestCorruptArtifactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Direct API validation (satellite: lookup/add reject nonsense)
+# Direct API validation: a table is checked when it is built
 # ---------------------------------------------------------------------------
 
 class TestTableValidation:
-    def test_add_rejects_negative_and_nan_sizes(self):
-        table = TuningTable(cluster="X")
-        with pytest.raises(ValueError):
-            table.add("allgather", 2, 8, -1, "ring")
-        with pytest.raises(ValueError):
-            table.add("allgather", 2, 8, float("nan"), "ring")
-
-    def test_add_rejects_bad_shape(self):
-        table = TuningTable(cluster="X")
-        with pytest.raises(ValueError):
-            table.add("allgather", 0, 8, 64, "ring")
-
-    def test_lookup_rejects_empty_sections(self):
-        table = TuningTable(cluster="X")
-        table.entries["allgather"] = {}
-        with pytest.raises(ValueError, match="empty"):
-            table.lookup("allgather", 2, 8, 64)
-        table.entries["allgather"] = {(2, 8): []}
-        with pytest.raises(ValueError, match="breakpoints"):
-            table.lookup("allgather", 2, 8, 64)
+    @pytest.mark.parametrize("cluster, entries, match", [
+        ("", {"allgather": {(2, 8): [(64, "ring")]}}, "no cluster name"),
+        ("X", {}, "no entries"),
+        ("X", {"allgather": {}}, "empty allgather section"),
+        ("X", {"allgather": {(2, 8): []}}, "empty breakpoint list"),
+        ("X", {"allgather": {(0, 8): [(64, "ring")]}},
+         "invalid config 0x8"),
+        ("X", {"allgather": {(2, 8): [(float("nan"), "ring")]}},
+         "invalid message size nan"),
+        ("X", {"allgather": {(2, 8): [(-1, "ring")]}},
+         "invalid message size -1"),
+        ("X", {"teleport": {(2, 8): [(64, "ring")]}},
+         "unknown collective"),
+        ("X", {"allgather": {(2, 8): [(64, "ring", "extra")]}},
+         "invalid tuning-table entry"),
+    ], ids=["no-cluster", "no-entries", "empty-section",
+            "empty-breakpoints", "bad-shape", "nan-size", "negative-size",
+            "unknown-collective", "bad-breakpoint"])
+    def test_construction_rejects(self, cluster, entries, match):
+        """Unknown algorithm names and conflicting duplicates:
+        ``test_smpi_heuristics_tuning.py``."""
+        with pytest.raises(CorruptArtifactError, match=match):
+            TuningTable(cluster, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.smpi import (
     TableSelector,
     TuningTable,
     algorithm_names,
-    build_oracle_table,
     measured_time,
 )
 
@@ -142,9 +141,8 @@ class TestOracle:
 
 class TestTuningTable:
     def test_breakpoint_lookup(self):
-        table = TuningTable(cluster="X")
-        table.add("allgather", 2, 8, 1024, "recursive_doubling")
-        table.add("allgather", 2, 8, 1 << 20, "ring")
+        table = TuningTable("X", {"allgather": {(2, 8): [
+            (1024, "recursive_doubling"), (1 << 20, "ring")]}})
         assert table.lookup("allgather", 2, 8, 100) == \
             "recursive_doubling"
         assert table.lookup("allgather", 2, 8, 4096) == "ring"
@@ -152,50 +150,42 @@ class TestTuningTable:
         assert table.lookup("allgather", 2, 8, 1 << 22) == "ring"
 
     def test_nearest_config_fallback(self):
-        table = TuningTable(cluster="X")
-        table.add("alltoall", 2, 8, 1 << 20, "pairwise")
-        table.add("alltoall", 16, 64, 1 << 20, "bruck")
+        table = TuningTable("X", {"alltoall": {
+            (2, 8): [(1 << 20, "pairwise")],
+            (16, 64): [(1 << 20, "bruck")]}})
         assert table.lookup("alltoall", 2, 4, 10) == "pairwise"
         assert table.lookup("alltoall", 8, 64, 10) == "bruck"
 
     def test_missing_collective_raises(self):
-        table = TuningTable(cluster="X")
-        with pytest.raises(KeyError):
+        table = TuningTable("X", {"alltoall": {(2, 8): [(64, "bruck")]}})
+        with pytest.raises(KeyError, match="no allgather entries"):
             table.lookup("allgather", 2, 8, 10)
 
     def test_invalid_algorithm_rejected(self):
-        table = TuningTable(cluster="X")
-        with pytest.raises(KeyError):
-            table.add("allgather", 2, 8, 10, "quantum")
+        from repro.core.resilience import CorruptArtifactError
+
+        with pytest.raises(CorruptArtifactError,
+                           match="unknown allgather algorithm 'quantum'"):
+            TuningTable("X", {"allgather": {(2, 8): [(10, "quantum")]}})
 
     def test_json_roundtrip(self, tmp_path):
-        table = TuningTable(cluster="Y")
-        table.add("allgather", 4, 16, 512, "bruck")
-        table.add("alltoall", 4, 16, 512, "pairwise")
+        table = TuningTable("Y", {"allgather": {(4, 16): [(512, "bruck")]},
+                                  "alltoall": {(4, 16): [(512, "pairwise")]}})
         path = table.save(tmp_path / "t.json")
         loaded = TuningTable.load(path)
+        assert loaded == table
         assert loaded.cluster == "Y"
         assert loaded.lookup("allgather", 4, 16, 100) == "bruck"
         payload = json.loads(path.read_text())
         assert "collectives" in payload
 
     def test_table_selector_cluster_check(self):
-        table = TuningTable(cluster="Frontera")
-        table.add("allgather", 2, 8, 1 << 21, "ring")
+        table = TuningTable("Frontera",
+                            {"allgather": {(2, 8): [(1 << 21, "ring")]}})
         sel = TableSelector(table)
         wrong = Machine(get_cluster("MRI"), 2, 8)
         with pytest.raises(ValueError, match="built for"):
             sel.select("allgather", wrong, 64)
-
-    def test_build_oracle_table(self):
-        spec = get_cluster("RI")
-        table = build_oracle_table("RI", "allgather",
-                                   node_counts=(2,), ppn_values=(4,),
-                                   msg_sizes=(16, 1 << 18))
-        machine = Machine(spec, 2, 4)
-        oracle = OracleSelector()
-        assert table.lookup("allgather", 2, 4, 16) == \
-            oracle.select("allgather", machine, 16)
 
 
 def _synthetic_table(n_nodes: int, n_ppn: int,
@@ -203,23 +193,20 @@ def _synthetic_table(n_nodes: int, n_ppn: int,
     """A table with ``n_nodes * n_ppn`` configs of *n_breakpoints*
     breakpoints each, cycling through real algorithm names."""
     algos = sorted(algorithm_names("allgather"))
-    table = TuningTable(cluster="bench")
-    for i in range(n_nodes):
-        for j in range(n_ppn):
-            nodes, ppn = 2 ** i, 2 ** j
-            for k in range(n_breakpoints):
-                table.add("allgather", nodes, ppn, 2 ** (k + 3),
-                          algos[(i + j + k) % len(algos)])
-    return table
+    configs = {
+        (2 ** i, 2 ** j): [(2 ** (k + 3), algos[(i + j + k) % len(algos)])
+                           for k in range(n_breakpoints)]
+        for i in range(n_nodes) for j in range(n_ppn)}
+    return TuningTable("bench", {"allgather": configs})
 
 
 class TestTuningTableHotPath:
-    """The O(1)-lookup rewrite: dedup, tie-breaks, invalidation."""
+    """The O(log b) lookup: dedup, tie-breaks, sorted store."""
 
     def test_lookup_does_not_scale_with_table_size(self):
-        """A 64x bigger table must not cost ~64x per lookup; the bisect
-        + memoized-nearest design keeps the ratio near 1 (allow slack
-        for timer noise at tiny lookup counts)."""
+        """A 64x bigger table must not cost ~64x per lookup; the dict
+        probe + bisect design keeps the ratio near 1 (allow slack for
+        timer noise at tiny lookup counts)."""
         small = _synthetic_table(2, 2, 8)        # 4 configs
         large = _synthetic_table(16, 16, 32)     # 256 configs
         # Exact hits, nearest-config misses, and a spread of message
@@ -242,39 +229,13 @@ class TestTuningTableHotPath:
         assert configs_ratio >= 32
         assert ratio < configs_ratio / 4
 
-    def test_duplicate_add_replaces_last_write_wins(self):
-        table = TuningTable(cluster="X")
-        table.add("allgather", 2, 8, 1024, "ring")
-        table.add("allgather", 2, 8, 1024, "bruck")
-        assert table.lookup("allgather", 2, 8, 100) == "bruck"
-        # The stored list holds exactly one breakpoint at that size.
-        assert table.entries["allgather"][(2, 8)] == [(1024, "bruck")]
-        table.validate()  # replacement leaves no conflicting twin
-
-    def test_duplicate_replace_after_lookup(self):
-        """Replacement must invalidate the frozen index."""
-        table = TuningTable(cluster="X")
-        table.add("allgather", 2, 8, 1024, "ring")
-        assert table.lookup("allgather", 2, 8, 100) == "ring"
-        table.add("allgather", 2, 8, 1024, "bruck")
-        assert table.lookup("allgather", 2, 8, 100) == "bruck"
-
-    def test_external_entries_mutation_invalidates(self):
-        table = TuningTable(cluster="X")
-        table.add("allgather", 2, 8, 1024, "ring")
-        assert table.lookup("allgather", 2, 8, 100) == "ring"
-        table.entries["allgather"][(2, 8)] = [(1024, "bruck")]
-        assert table.lookup("allgather", 2, 8, 100) == "bruck"
-
     def test_validate_rejects_conflicting_duplicates(self):
         from repro.core.resilience import CorruptArtifactError
 
-        table = TuningTable(cluster="X")
-        table.entries["allgather"] = {
-            (2, 8): [(1024, "ring"), (1024, "bruck")]}
         with pytest.raises(CorruptArtifactError,
                            match="conflicting duplicate"):
-            table.validate()
+            TuningTable("X", {"allgather": {
+                (2, 8): [(1024, "ring"), (1024, "bruck")]}})
 
     def test_from_json_rejects_conflicting_duplicates(self):
         from repro.core.resilience import CorruptArtifactError
@@ -289,6 +250,21 @@ class TestTuningTableHotPath:
         }
         with pytest.raises(CorruptArtifactError,
                            match="conflicting duplicate"):
+            TuningTable.from_json(json.dumps(payload))
+
+    def test_from_json_rejects_aliased_config_keys(self):
+        """``"2x8"`` and ``"02x8"`` name one job shape; merging them
+        would let one silently override the other."""
+        from repro.core.resilience import CorruptArtifactError, \
+            checksum_payload
+
+        collectives = {"allgather": {"2x8": [[1024, "ring"]],
+                                     "02x8": [[1024, "bruck"]]}}
+        payload = {"format": "pml-mpi/tuning-table", "version": 1,
+                   "cluster": "X",
+                   "crc32": checksum_payload(collectives),
+                   "collectives": collectives}
+        with pytest.raises(CorruptArtifactError, match="'02x8' repeats"):
             TuningTable.from_json(json.dumps(payload))
 
     def test_from_json_accepts_agreeing_duplicates(self):
@@ -308,32 +284,29 @@ class TestTuningTableHotPath:
         smallest (nodes, ppn) must win regardless of insert order."""
         for order in [((2, 8, "ring"), (8, 2, "bruck")),
                       ((8, 2, "bruck"), (2, 8, "ring"))]:
-            table = TuningTable(cluster="X")
-            for nodes, ppn, algo in order:
-                table.add("allgather", nodes, ppn, 1 << 20, algo)
+            table = TuningTable("X", {"allgather": {
+                (nodes, ppn): [(1 << 20, algo)]
+                for nodes, ppn, algo in order}})
             assert table.lookup("allgather", 4, 4, 10) == "ring"
 
     def test_to_json_sorted_and_deduped(self):
-        table = TuningTable(cluster="X")
-        table.add("allgather", 2, 8, 1 << 20, "ring")
-        table.add("allgather", 2, 8, 64, "bruck")
-        table.add("allgather", 2, 8, 64, "recursive_doubling")
+        table = TuningTable("X", {"allgather": {
+            (8, 2): [(64, "bruck")],
+            (2, 8): [(1 << 20, "ring"), (64, "bruck"), (64.0, "bruck")]}})
         payload = json.loads(table.to_json())
-        bps = payload["collectives"]["allgather"]["2x8"]
-        assert bps == [[64, "recursive_doubling"], [1 << 20, "ring"]]
+        configs = payload["collectives"]["allgather"]
+        assert list(configs) == ["2x8", "8x2"]
+        assert configs["2x8"] == [[64, "bruck"], [1 << 20, "ring"]]
 
     def test_lookup_matches_reference_scan(self):
         """Bisect lookup agrees with a brute-force first->=size scan
-        over a table with unsorted insertion order."""
+        over a table built from unsorted breakpoints."""
         rng = np.random.default_rng(7)
         algos = sorted(algorithm_names("allgather"))
-        sizes = rng.permutation([2**k for k in range(1, 17)])
-        table = TuningTable(cluster="X")
-        expect = {}
-        for size in sizes:
-            algo = algos[int(size) % len(algos)]
-            table.add("allgather", 2, 8, int(size), algo)
-            expect[int(size)] = algo
+        sizes = [int(s) for s in rng.permutation([2**k for k in range(1, 17)])]
+        expect = {size: algos[size % len(algos)] for size in sizes}
+        table = TuningTable("X", {"allgather": {
+            (2, 8): list(expect.items())}})
         ordered = sorted(expect)
         for query in [1, 3, 16, 100, 4097, 1 << 16, 1 << 20]:
             matching = [s for s in ordered if s >= query]
