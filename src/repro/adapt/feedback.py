@@ -235,7 +235,7 @@ class FeedbackLog:
             raise CorruptArtifactError("feedback log is empty (no header)")
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CorruptArtifactError(
                 f"feedback header is not JSON: {exc}") from exc
         meta = header.get("__meta__") if isinstance(header, dict) else None
@@ -262,7 +262,7 @@ class FeedbackLog:
         for i, line in enumerate(body):
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CorruptArtifactError(
                     f"feedback line {i + 2} is not JSON: {exc}") from exc
             records.append(validate_record(data, where=f"line {i + 2}"))

@@ -244,7 +244,7 @@ class ChampionChallengerGate:
             if not isinstance(sentinel, dict):
                 raise CorruptArtifactError("promotion sentinel not a dict")
             challenger_crc = sentinel.get("challenger_checksum")
-        except (OSError, json.JSONDecodeError, CorruptArtifactError):
+        except (OSError, ValueError):
             challenger_crc = None
         serving_crc = _file_crc32(self.serving_path)
         backup_crc = _file_crc32(self.backup_path)

@@ -174,7 +174,7 @@ class AdaptationLoop:
     def _load_state(self) -> _State:
         try:
             data = json.loads(self.state_path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return _State()
         if not isinstance(data, dict) \
                 or data.get("phase") not in (PHASE_STABLE,

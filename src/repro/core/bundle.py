@@ -99,7 +99,7 @@ def load_selector(path: str | Path) -> PretrainedSelector:
             f"cannot read bundle {path}: {exc}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CorruptArtifactError(
             f"bundle is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "models" not in payload:

@@ -220,7 +220,7 @@ class TuningDataset:
         if lines:
             try:
                 first = json.loads(lines[0])
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CorruptArtifactError(
                     f"dataset cache {path} line 1 is not JSON: "
                     f"{exc}") from None

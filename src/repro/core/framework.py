@@ -287,7 +287,7 @@ def _load_decision_log(path: Path) -> list[dict]:
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CorruptArtifactError(
                 f"decision log {path}: line {lineno} is not JSON "
                 f"({exc})") from exc

@@ -295,7 +295,7 @@ class FileLock:
         (pre-record lock files, half-written junk)."""
         try:
             record = json.loads(Path(path).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
         if not isinstance(record, dict) \
                 or not isinstance(record.get("pid"), int):

@@ -337,7 +337,7 @@ def load_slos(path: Path | str) -> tuple[SloSpec, ...]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read SLO config {path}: {exc}") \
             from None
     if not isinstance(raw, list) or not raw:

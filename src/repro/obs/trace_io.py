@@ -308,7 +308,7 @@ def parse_trace(text: str, where: str = "trace") -> TraceData:
         _fail(where, "file is empty")
     try:
         first = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise res.CorruptArtifactError(
             f"{where}: line 1 is not JSON: {exc}") from None
     if not isinstance(first, dict) or "__meta__" not in first \
@@ -341,7 +341,7 @@ def parse_trace(text: str, where: str = "trace") -> TraceData:
         rec_where = f"{where} line {lineno}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise res.CorruptArtifactError(
                 f"{rec_where}: not JSON: {exc}") from None
         if not isinstance(record, dict):

@@ -245,7 +245,7 @@ class SelectionDaemon:
     def _recover_boot_sentinel(self) -> None:
         try:
             sentinel = json.loads(self.sentinel_path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return
         self.sentinel_path.unlink(missing_ok=True)
         if not isinstance(sentinel, dict):

@@ -440,7 +440,7 @@ def queries_from_jsonl(text: str) -> list[SelectionQuery]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: not valid JSON: {exc}") \
                 from None
         if not isinstance(record, dict):

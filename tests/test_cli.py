@@ -252,7 +252,7 @@ class TestSweep:
 class TestUnloadableBundle:
     """Every command that loads a bundle exits 2 with one message."""
 
-    @pytest.mark.parametrize("state", ["missing", "corrupt"])
+    @pytest.mark.parametrize("state", ["missing", "corrupt", "overlong"])
     @pytest.mark.parametrize("command", ["tune", "select", "select-batch",
                                          "sweep"])
     def test_exits_2_with_message(self, command, state, tmp_path,
@@ -260,6 +260,11 @@ class TestUnloadableBundle:
         bundle = tmp_path / "pml.json"
         if state == "corrupt":
             bundle.write_text('{"broken')
+        if state == "overlong":
+            # Past the interpreter's integer-string limit, json.loads
+            # raises a plain ValueError, not a JSONDecodeError.
+            bundle.write_text('{"bundle_version": ' + "9" * 5000
+                              + ', "models": {}}')
         queries = tmp_path / "queries.jsonl"
         queries.write_text('{"collective": "allgather", "nodes": 2, '
                            '"ppn": 8, "msg_size": 1024}\n')

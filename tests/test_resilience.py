@@ -758,3 +758,165 @@ class TestAtomicHelpers:
     def test_checksum_payload_stable_across_key_order(self):
         assert checksum_payload({"a": 1, "b": 2}) == \
             checksum_payload({"b": 2, "a": 1})
+
+
+# ---------------------------------------------------------------------------
+# Over-long JSON integers
+# ---------------------------------------------------------------------------
+
+#: An integer literal past the interpreter's 4,300-digit string limit:
+#: ``json.loads`` raises a plain ``ValueError`` on it, which is not a
+#: ``JSONDecodeError``.
+OVERLONG = "9" * 5000
+
+
+def _feedback_file(path, header, body):
+    from repro.core.resilience import checksum_lines
+
+    if header is None:
+        from repro.adapt.feedback import FEEDBACK_FORMAT, FEEDBACK_VERSION
+        header = json.dumps({"__meta__": {
+            "format": FEEDBACK_FORMAT, "version": FEEDBACK_VERSION,
+            "records": len(body),
+            "crc32": checksum_lines([b + "\n" for b in body])}})
+    path.write_text("\n".join([header, *body]) + "\n")
+
+
+def _trace_text(header, body):
+    from repro.core.resilience import checksum_lines
+    from repro.obs.trace_io import TRACE_FORMAT, TRACE_VERSION
+
+    lines = [b + "\n" for b in body]
+    if header is None:
+        header = json.dumps({"__meta__": {
+            "format": TRACE_FORMAT, "version": TRACE_VERSION,
+            "records": len(lines), "crc32": checksum_lines(lines)}})
+    return header + "\n" + "".join(lines)
+
+
+def _bundle(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text('{"bundle_version": ' + OVERLONG + ', "models": {}}')
+    with pytest.raises(CorruptArtifactError, match="not valid JSON"):
+        load_selector(path)
+
+
+def _dataset_header(tmp_path):
+    path = tmp_path / "ds.jsonl.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write('{"__meta__": {"version": ' + OVERLONG + '}}\n')
+    with pytest.raises(CorruptArtifactError, match="line 1 is not JSON"):
+        TuningDataset.load(path)
+
+
+def _feedback(tmp_path, where):
+    from repro.adapt import FeedbackLog
+
+    path = tmp_path / "feedback.jsonl"
+    if where == "header":
+        _feedback_file(path, '{"__meta__": ' + OVERLONG + '}', [])
+    else:
+        _feedback_file(path, None, ['{"tick": ' + OVERLONG + '}'])
+    with pytest.raises(CorruptArtifactError, match="not JSON"):
+        FeedbackLog(path).load()
+
+
+def _trace(where):
+    from repro.obs.trace_io import parse_trace
+
+    text = (_trace_text('{"__meta__": ' + OVERLONG + '}', [])
+            if where == "header"
+            else _trace_text(None, ['{"type": ' + OVERLONG + '}']))
+    with pytest.raises(CorruptArtifactError, match="not JSON"):
+        parse_trace(text)
+
+
+def _decision_log(tmp_path):
+    from repro.core.framework import _load_decision_log
+
+    path = tmp_path / "decisions.jsonl"
+    path.write_text('{"tick": ' + OVERLONG + '}\n')
+    with pytest.raises(CorruptArtifactError, match="line 1 is not JSON"):
+        _load_decision_log(path)
+
+
+def _queries(tmp_path):
+    from repro.serve.service import queries_from_jsonl
+
+    with pytest.raises(ValueError, match="line 1: not valid JSON"):
+        queries_from_jsonl('{"collective": "allgather", "nodes": '
+                           + OVERLONG + ', "ppn": 8, "msg_size": 1}\n')
+
+
+def _boot_sentinel(tmp_path):
+    """An unreadable boot sentinel is ignored; the boot goes on."""
+    from types import SimpleNamespace
+
+    from repro.serve.daemon import SelectionDaemon
+
+    sentinel = tmp_path / "boot.sentinel"
+    sentinel.write_text('{"checksum": ' + OVERLONG + '}')
+    assert SelectionDaemon._recover_boot_sentinel(
+        SimpleNamespace(sentinel_path=sentinel)) is None
+
+
+def _adapt_state(tmp_path):
+    """An unreadable loop state starts clean."""
+    from types import SimpleNamespace
+
+    from repro.adapt.loop import AdaptationLoop, _State
+
+    state = tmp_path / "adapt_state.json"
+    state.write_text('{"fence_tick": ' + OVERLONG + '}')
+    assert AdaptationLoop._load_state(
+        SimpleNamespace(state_path=state)) == _State()
+
+
+def _promotion_sentinel(tmp_path):
+    """An unreadable promotion sentinel is cleared, not raised."""
+    from repro.adapt.gate import ChampionChallengerGate
+
+    gate = ChampionChallengerGate(tmp_path / "bundle.json", tmp_path)
+    gate.sentinel_path.write_text('{"challenger_checksum": '
+                                  + OVERLONG + '}')
+    assert gate.recover() == "cleared pre-swap promotion sentinel"
+    assert not gate.sentinel_path.exists()
+
+
+def _lock_owner(tmp_path):
+    path = tmp_path / "x.lock"
+    path.write_text('{"pid": ' + OVERLONG + '}')
+    assert FileLock.read_owner(path) is None
+
+
+def _slo_config(tmp_path):
+    from repro.obs.slo import load_slos
+
+    path = tmp_path / "slos.json"
+    path.write_text('[{"objective": ' + OVERLONG + '}]')
+    with pytest.raises(ValueError, match="cannot read SLO config"):
+        load_slos(path)
+
+
+OVERLONG_READERS = {
+    "bundle": _bundle,
+    "dataset-header": _dataset_header,
+    "feedback-header": lambda tmp: _feedback(tmp, "header"),
+    "feedback-line": lambda tmp: _feedback(tmp, "line"),
+    "trace-header": lambda tmp: _trace("header"),
+    "trace-line": lambda tmp: _trace("line"),
+    "decision-log": _decision_log,
+    "select-batch-queries": _queries,
+    "daemon-boot-sentinel": _boot_sentinel,
+    "adapt-state": _adapt_state,
+    "promotion-sentinel": _promotion_sentinel,
+    "lock-owner": _lock_owner,
+    "slo-config": _slo_config,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(OVERLONG_READERS))
+def test_overlong_integer_takes_the_readers_error_path(reader, tmp_path):
+    """Every artifact reader maps an over-long integer literal the way
+    it maps any other unreadable JSON."""
+    OVERLONG_READERS[reader](tmp_path)
