@@ -145,6 +145,8 @@ for _ in $(seq 1 300); do
 done
 [ -f "$workdir/ready.json" ] || { echo "daemon never ready" >&2; exit 1; }
 python - "$workdir/serve_state/daemon.sock" "$workdir/bundle.json" <<'EOF'
+import json
+import socket
 import sys
 from repro.serve import PROTOCOL_VERSION, DaemonClient
 
@@ -159,6 +161,33 @@ with DaemonClient(socket_path) as client:
     ], deadline_ms=5000)
     actions = [d["action"] for d in response["decisions"]]
     assert actions[0] != "invalid" and actions[1] == "invalid", actions
+    # Replies are written from the decision columns: one whose invalid
+    # rows echo junk must still be canonical JSON, byte for byte.
+    junk = [{"collective": "allg\u00e4ther", "nodes": 2, "ppn": 8,
+             "msg_size": 64},
+            {"collective": "allgather", "nodes": 2.5, "ppn": 8,
+             "msg_size": 64},
+            {"collective": "allgather", "nodes": 2, "ppn": 8,
+             "msg_size": {"z": 1, "a": [0.5, None]}},
+            {"collective": "allgather", "nodes": 2, "ppn": 8,
+             "msg_size": 10 ** 29},
+            {"collective": "allgather", "nodes": 2, "ppn": 8,
+             "msg_size": 4096}]
+    request = {"id": "junk", "op": "select", "queries": junk}
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.connect(socket_path)
+        with sock.makefile("rwb") as wire:
+            wire.write(json.dumps(request, ensure_ascii=False)
+                       .encode("utf-8") + b"\n")
+            wire.flush()
+            line = wire.readline()
+    reply = json.loads(line)
+    canonical = json.dumps(reply, sort_keys=True,
+                           separators=(",", ":")) + "\n"
+    assert line.decode("utf-8") == canonical, line
+    assert [d["action"] for d in reply["decisions"]][:4] \
+        == ["invalid"] * 4, reply
+    assert reply["decisions"][0]["collective"] == "allg\u00e4ther"
     # Touch the bundle (same bytes, fresh file): explicit reload swaps.
     assert client.reload()["status"] in ("reloaded", "unchanged")
     counters = client.stats()["counters"]

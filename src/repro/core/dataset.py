@@ -187,11 +187,15 @@ class TuningDataset:
             header["cache_key"] = cache_key
         meta = {"__meta__": header}
         tmp = tmp_path_for(path)
-        with gzip.open(tmp, "wt") as fh:
-            fh.write(json.dumps(meta) + "\n")
-            fh.writelines(lines)
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
+        # No write time and no file name in the gzip header, so equal
+        # datasets give equal files wherever and whenever written.
+        with open(tmp, "wb") as raw:
+            with gzip.GzipFile(filename="", mode="wb", fileobj=raw,
+                               mtime=0) as fh:
+                fh.write((json.dumps(meta) + "\n").encode("utf-8"))
+                fh.write("".join(lines).encode("utf-8"))
+            raw.flush()
+            os.fsync(raw.fileno())
         return atomic_commit(tmp, path)
 
     @classmethod

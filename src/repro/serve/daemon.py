@@ -67,6 +67,7 @@ from ..obs.expo import render_prometheus
 from ..obs.live import FlightRecorder, quantiles, set_recorder
 from ..obs.slo import DEFAULT_SLOS, SloSpec, SloTracker
 from ..obs.telemetry import get_registry, get_tracer
+from .columnar import QueryBlock
 from .protocol import (
     DEFAULT_MAX_BATCH,
     DEFAULT_TAIL_EVENTS,
@@ -79,6 +80,7 @@ from .protocol import (
     parse_request,
 )
 from .reload import Snapshot, SnapshotStore, file_crc32
+from .service import DecisionBlock
 
 __all__ = [
     "DAEMON_AUX_KEYS",
@@ -565,7 +567,7 @@ class SelectionDaemon:
         self._inflight += 1
         try:
             future = self._pool.submit(
-                self._run_batch, snapshot, request.records)
+                self._run_batch, snapshot, request.block)
             future.add_done_callback(_consume_result)
             try:
                 decisions = await asyncio.wait_for(
@@ -576,12 +578,11 @@ class SelectionDaemon:
                 # (bounded arithmetic, never model inference).  The
                 # cancel passes through wrap_future, so a batch still
                 # queued never runs; one already running finishes on
-                # its pool thread.
-                floor = snapshot.floor.select_block(
-                    list(request.records))
+                # its pool thread, reading the same (never written)
+                # block as the floor.
                 return ok_response(
                     request.id,
-                    decisions=floor.to_dicts(),
+                    decisions=snapshot.floor.select_block(request.block),
                     snapshot=snapshot.version,
                     degraded="deadline-floor"), "deadline_floor"
             return ok_response(
@@ -592,10 +593,11 @@ class SelectionDaemon:
 
     @staticmethod
     def _run_batch(snapshot: Snapshot,
-                   records: tuple) -> list[dict[str, Any]]:
-        # Raw protocol records flow straight into the columnar path —
-        # no per-query object is built anywhere on the daemon hot path.
-        return snapshot.service.select_block(records).to_dicts()
+                   block: QueryBlock) -> DecisionBlock:
+        # The parsed block flows straight into the columnar path and
+        # the reply is written from the decision columns — no per-query
+        # object or per-row dict is built anywhere on the daemon path.
+        return snapshot.service.select_block(block)
 
     # -- teardown --------------------------------------------------------
     def _cleanup(self) -> None:

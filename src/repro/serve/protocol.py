@@ -59,16 +59,27 @@ Parsing is strict and total: :func:`parse_request` raises only
 :class:`ProtocolError` (carrying the error code for the response), and
 :func:`encode` emits deterministic JSON (sorted keys, compact
 separators) so byte-identical requests get byte-identical responses.
+
+The select path is columnar on the wire in both directions: the parser
+turns a batch into one :class:`~repro.serve.columnar.QueryBlock`, and
+:func:`encode` writes a :class:`~repro.serve.service.DecisionBlock`
+reply straight from its columns, byte-identical to ``json.dumps`` of
+:meth:`~repro.serve.service.DecisionBlock.to_dicts` (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .service import SelectionQuery
+import numpy as np
+
+from .columnar import QueryBlock
+from .service import DecisionBlock, SelectionQuery
 
 __all__ = [
     "DEFAULT_MAX_BATCH",
@@ -122,34 +133,31 @@ class ProtocolError(ValueError):
 class Request:
     """One parsed client request.
 
-    ``records`` holds the raw (shape-checked) query dicts: the daemon
-    feeds them straight into the service's columnar path, so parsing a
-    10k-query line allocates no per-query objects.  ``queries`` builds
-    :class:`SelectionQuery` objects lazily for callers that want them.
+    ``block`` holds a ``select`` batch in columnar form, built in one
+    column pass at parse time (``None`` for every other op): the daemon
+    feeds it straight into the service, so parsing a 10k-query line
+    allocates no per-query objects.  Nothing writes to it afterwards,
+    which lets a deadline-floor answer read it while an abandoned
+    batch may still be running on it.
     """
 
     id: Any
     op: str
-    records: tuple[dict, ...] = field(default_factory=tuple)
+    block: QueryBlock | None = None
     deadline_ms: float | None = None
     n: int | None = None
 
     @property
     def queries(self) -> tuple[SelectionQuery, ...]:
-        """The records as :class:`SelectionQuery` objects (built on
-        first access, then cached)."""
-        cached = getattr(self, "_queries", None)
-        if cached is None:
-            cached = tuple(
-                SelectionQuery(
-                    collective=r["collective"], nodes=r["nodes"],
-                    ppn=r["ppn"], msg_size=r["msg_size"])
-                for r in self.records)
-            object.__setattr__(self, "_queries", cached)
-        return cached
+        """The batch as :class:`SelectionQuery` objects, built from the
+        block's columns on each access (``()`` for non-select ops)."""
+        if self.block is None:
+            return ()
+        return tuple(map(SelectionQuery, *self.block.cols))
 
 
-def _check_query(index: int, record: Any) -> dict:
+def _check_query(index: int, record: Any) -> None:
+    """Raise for a row that is not an object with the four query keys."""
     if not isinstance(record, dict):
         raise ProtocolError(
             f"queries[{index}] must be a JSON object, "
@@ -162,7 +170,6 @@ def _check_query(index: int, record: Any) -> dict:
     # Values pass through verbatim: semantic junk (negative sizes,
     # bogus shapes) is the *service's* job to classify as invalid
     # decisions, not the protocol's job to reject.
-    return record
 
 
 def parse_request(line: str | bytes,
@@ -220,7 +227,7 @@ def parse_request(line: str | bytes,
                     f"[1, {MAX_TAIL_EVENTS}], got {raw_n!r}")
             n = raw_n
 
-    records: tuple[dict, ...] = ()
+    block: QueryBlock | None = None
     if op == "select":
         raw = record.get("queries")
         if not isinstance(raw, list) or not raw:
@@ -229,16 +236,99 @@ def parse_request(line: str | bytes,
         if len(raw) > max_batch:
             raise ProtocolError(
                 f"batch of {len(raw)} exceeds max_batch={max_batch}")
-        records = tuple(_check_query(i, r) for i, r in enumerate(raw))
-    return Request(id=req_id, op=op, records=records,
+        try:
+            block = QueryBlock.from_records(raw)
+        except (TypeError, KeyError):
+            # A row is not an object or lacks a key; the column pass
+            # stops at the first bad cell of a column, so name the
+            # first bad row in row order instead.
+            for i, r in enumerate(raw):
+                _check_query(i, r)
+            raise
+    return Request(id=req_id, op=op, block=block,
                    deadline_ms=deadline_ms, n=n)
+
+
+def _json(value: Any) -> str:
+    """*value* as deterministic JSON text (sorted keys, compact
+    separators) — every response's one ``json.dumps`` call."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _value_json(value: Any) -> str:
+    """One value's JSON text, as ``json.dumps`` writes it: strings
+    through the escaper ``json.dumps`` itself uses (``ensure_ascii``),
+    plain ints through ``repr`` (``int.__repr__``, as ``json.dumps``),
+    anything else an invalid row echoes (floats, bools, None, lists,
+    objects) through :func:`_json`."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    return _json(value)
+
+
+def _column_json(values: list) -> list[str]:
+    """:func:`_value_json` of every value of one column, with one
+    C-level pass for an all-string or all-int column (every query
+    column of a well-formed batch)."""
+    kinds = list(map(type, values))
+    if kinds.count(str) == len(values):
+        return list(map(encode_basestring_ascii, values))
+    if kinds.count(int) == len(values):
+        return list(map(repr, values))
+    return list(map(_value_json, values))
+
+
+#: A decision row's keys in ``sort_keys`` order, each with the text
+#: that precedes its value.
+_ROW_KEYS = sorted(("collective", "nodes", "ppn", "msg_size",
+                    "algorithm", "action", "detail", "cached"))
+_ROW_PREFIXES = [("{" if i == 0 else ",") + encode_basestring_ascii(k)
+                 + ":" for i, k in enumerate(_ROW_KEYS)]
+
+
+def _decisions_json(block: DecisionBlock) -> str:
+    """The JSON text of ``block.to_dicts()``, written column by column
+    (no per-row dict): each row is its key prefixes interleaved with
+    its eight value texts."""
+    c_col, n_col, p_col, m_col = block.cols
+    columns = {
+        "collective": _column_json(c_col),
+        "nodes": _column_json(n_col),
+        "ppn": _column_json(p_col),
+        "msg_size": _column_json(m_col),
+        "algorithm": _column_json(block.algorithms.tolist()),
+        "action": _column_json(block.actions.tolist()),
+        "detail": _column_json(block.details.tolist()),
+        "cached": np.where(block.cached, "true", "false").tolist(),
+    }
+    parts: list = []
+    for key, prefix in zip(_ROW_KEYS, _ROW_PREFIXES):
+        parts += (repeat(prefix), columns[key])
+    rows = "".join(chain.from_iterable(zip(*parts, repeat("},"))))
+    return "[" + rows[:-1] + "]"
 
 
 def encode(payload: dict[str, Any]) -> bytes:
     """One response as a deterministic JSON line (sorted keys,
-    compact separators, trailing newline)."""
-    return (json.dumps(payload, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
+    compact separators, trailing newline).
+
+    A :class:`~repro.serve.service.DecisionBlock` under
+    ``"decisions"`` is written from its columns; the line is
+    byte-identical to encoding the payload with the block's
+    :meth:`~repro.serve.service.DecisionBlock.to_dicts` in its place.
+    """
+    block = payload.get("decisions")
+    if not isinstance(block, DecisionBlock):
+        return (_json(payload) + "\n").encode("utf-8")
+    body = ",".join(
+        encode_basestring_ascii(key) + ":"
+        + (_decisions_json(block) if key == "decisions"
+           else _json(value))
+        for key, value in sorted(payload.items()))
+    return ("{" + body + "}\n").encode("utf-8")
 
 
 def ok_response(req_id: Any, **payload: Any) -> dict[str, Any]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -177,8 +177,10 @@ class DecisionBlock:
         return out
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        """Per-row dicts shaped like :meth:`SelectionDecision.to_dict`
-        (what the daemon serializes), without building decisions."""
+        """Per-row dicts shaped like :meth:`SelectionDecision.to_dict`,
+        without building decisions.  The daemon writes its replies
+        straight from the columns (:func:`repro.serve.protocol.encode`);
+        these dicts are the oracle that writer is tested against."""
         c_col, n_col, p_col, m_col = self.cols
         return [
             {
@@ -267,20 +269,22 @@ class SelectionService:
         """:meth:`select_block`, as one decision object per query."""
         return self.select_block(queries).to_decisions()
 
-    def select_block(self, queries: Sequence[SelectionQuery]
-                     | Iterable[Mapping[str, Any]]) -> DecisionBlock:
+    def select_block(self, queries: QueryBlock | Sequence[SelectionQuery]
+                     ) -> DecisionBlock:
         """Answer a whole batch, one decision per query, in order.
 
-        Accepts :class:`SelectionQuery`-shaped objects or raw mapping
-        records (the daemon feeds parsed JSON straight in).  Never
-        raises for malformed queries — see the module docstring for
-        the validate/dedup/memo/guard flow.  Thread-safe: batches from
-        concurrent callers are serialized.
+        Accepts a :class:`~repro.serve.columnar.QueryBlock` (the
+        daemon's parser builds one per request;
+        :meth:`~repro.serve.columnar.QueryBlock.from_records` builds one
+        from raw mappings) or :class:`SelectionQuery`-shaped objects.
+        A block is only read, never written, so two services may answer
+        the same block at once.  Never raises for malformed queries —
+        see the module docstring for the validate/dedup/memo/guard
+        flow.  Thread-safe: batches from concurrent callers are
+        serialized.
         """
-        rows = list(queries)
-        blk = QueryBlock.from_records(rows) \
-            if rows and isinstance(rows[0], Mapping) \
-            else QueryBlock.from_queries(rows)
+        blk = queries if isinstance(queries, QueryBlock) \
+            else QueryBlock.from_queries(queries)
         with self._batch_lock, \
                 get_tracer().span("serve.batch", queries=blk.n):
             out = self._answer(blk)

@@ -70,7 +70,7 @@ class Round:
             raise ValueError("copy_ranks/copy_bytes must have equal length")
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
-        if np.any(self.src == self.dst):
+        if (self.src == self.dst).any():
             raise ValueError("self-messages must be modelled as copies")
 
     @property

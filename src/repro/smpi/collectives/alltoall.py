@@ -109,15 +109,16 @@ class PairwiseAlltoall(_AlltoallBase):
         if p == 1:
             return []
         ranks = ranks_array(p)
-        pow2 = is_power_of_two(p)
+        offsets = ranks[1:, None]
+        # Every round's destinations in one broadcast (row k-1 is
+        # round k); the rounds share the rank and size arrays.
+        dsts = ranks ^ offsets if is_power_of_two(p) \
+            else (ranks + offsets) % p
         sizes = np.full(p, float(msg_size))
         rounds: Schedule = [Round(
             src=np.empty(0, np.int64), dst=np.empty(0, np.int64),
-            size=np.empty(0), copy_ranks=ranks,
-            copy_bytes=np.full(p, float(msg_size)))]
-        for k in range(1, p):
-            dst = ranks ^ k if pow2 else (ranks + k) % p
-            rounds.append(Round(src=ranks, dst=dst, size=sizes))
+            size=np.empty(0), copy_ranks=ranks, copy_bytes=sizes)]
+        rounds += [Round(src=ranks, dst=dst, size=sizes) for dst in dsts]
         return rounds
 
 
@@ -266,12 +267,11 @@ class InplaceAlltoall(_AlltoallBase):
             return []
         m = float(msg_size)
         ranks = ranks_array(p)
-        rounds: Schedule = []
-        for k in range(1, p):
-            rounds.append(Round(
-                src=ranks, dst=(ranks + k) % p, size=np.full(p, m),
-                copy_ranks=ranks, copy_bytes=np.full(p, 2.0 * m)))
-        return rounds
+        sizes = np.full(p, m)
+        copies = np.full(p, 2.0 * m)
+        return [Round(src=ranks, dst=dst, size=sizes, copy_ranks=ranks,
+                      copy_bytes=copies)
+                for dst in (ranks + ranks[1:, None]) % p]
 
 
 BRUCK = register(BruckAlltoall())

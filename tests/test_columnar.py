@@ -75,8 +75,9 @@ def ri_spec():
 def assert_matches_oracle(service, oracle, batch, as_records=False):
     """Serve *batch* and check every row against *oracle*; returns the
     block."""
-    rows = [{"collective": q.collective, "nodes": q.nodes, "ppn": q.ppn,
-             "msg_size": q.msg_size} for q in batch] if as_records \
+    rows = QueryBlock.from_records(
+        [{"collective": q.collective, "nodes": q.nodes, "ppn": q.ppn,
+          "msg_size": q.msg_size} for q in batch]) if as_records \
         else list(batch)
     block = service.select_block(rows)
     assert isinstance(block, DecisionBlock) and block.n == len(batch)
@@ -202,7 +203,8 @@ class TestAdversarialBlocks:
         assert d2.detail == d1.detail
 
     def test_records_and_queries_agree(self, ri_spec):
-        """The daemon's raw-dict ingestion is the same pipeline."""
+        """A block built from raw records, as the daemon's parser
+        builds it, goes through the same pipeline."""
         records = [
             {"collective": "allgather", "nodes": 2, "ppn": 8,
              "msg_size": 4096},
@@ -215,7 +217,7 @@ class TestAdversarialBlocks:
         a = SelectionService(MvapichDefaultSelector(), ri_spec)
         b = SelectionService(MvapichDefaultSelector(), ri_spec)
         assert a.select_block(queries).to_dicts() == \
-            b.select_block(records).to_dicts()
+            b.select_block(QueryBlock.from_records(records)).to_dicts()
         assert a.counters == b.counters
 
     def test_jsonl_byte_identical_on_clean_batch(self, ri_spec):

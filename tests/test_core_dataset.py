@@ -1,5 +1,7 @@
 """Tests for dataset collection, records, and (de)serialization."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,18 @@ class TestTuningDataset:
         assert len(loaded) == len(mini_dataset)
         assert loaded.records[0] == mini_dataset.records[0]
         assert loaded.records[-1].times == mini_dataset.records[-1].times
+
+    def test_save_is_byte_deterministic(self, mini_dataset, tmp_path,
+                                        monkeypatch):
+        """Equal datasets give equal files: the gzip header records no
+        write time and no (temporary) file name."""
+        small = TuningDataset(mini_dataset.records[:40])
+        first = small.save(tmp_path / "a" / "first.jsonl.gz")
+        later = time.time() + 86_400.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        second = small.save(tmp_path / "b" / "second.jsonl.gz")
+        assert first.read_bytes() == second.read_bytes()
+        assert TuningDataset.load(second).records == small.records
 
     def test_cache_hit(self, tmp_path):
         clusters = [get_cluster("RI")]

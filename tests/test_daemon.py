@@ -21,6 +21,7 @@ from repro.serve import (
     DaemonConfig,
     DaemonError,
     ProtocolError,
+    QueryBlock,
     SelectionDaemon,
     SnapshotStore,
     file_crc32,
@@ -81,6 +82,7 @@ class TestProtocol:
                          "ppn": 8, "msg_size": 4096}]}))
         assert req.id == 7 and req.op == "select"
         assert req.deadline_ms == 50.0
+        assert isinstance(req.block, QueryBlock) and req.block.n == 1
         assert len(req.queries) == 1
         assert req.queries[0].collective == "allgather"
 
@@ -120,6 +122,17 @@ class TestProtocol:
          "must be a JSON object"),
         ('{"id": 1, "op": "select", "queries": [{"nodes": 2}]}',
          "missing key"),
+        # The column pass trips on row 3 first; the error still names
+        # the first bad row in row order.
+        ('{"id": 1, "op": "select", "queries": ['
+         '{"collective": "allgather", "nodes": 2, "msg_size": 64}, '
+         + ", ".join(['{"collective": "allgather", "nodes": 2, '
+                      '"ppn": 8, "msg_size": 64}'] * 2)
+         + ', [1, 2]]}', r"^queries\[0\] missing key\(s\): ppn$"),
+        ('{"id": 1, "op": "select", "queries": ['
+         '{"collective": "allgather", "nodes": 2, "ppn": 8, '
+         '"msg_size": 64}, "row", {"nodes": 2}]}',
+         r"^queries\[1\] must be a JSON object, got str$"),
         ('{"id": 1, "op": "ping", "deadline_ms": 0}',
          "deadline_ms"),
         ('{"id": 1, "op": "ping", "deadline_ms": -3}',
@@ -575,6 +588,34 @@ class TestDaemonEndToEnd:
             assert actions[0] == "invalid" and actions[1] == "invalid"
             assert actions[2] != "invalid"
             assert response["decisions"][0]["algorithm"] is None
+
+    def test_junk_echo_reply_is_canonical_json(self, running_daemon):
+        """The reply is written from the decision columns; through the
+        socket it is still exactly the canonical ``json.dumps`` of
+        itself, junk echoes included."""
+        queries = [
+            {"collective": "allgäther", "nodes": 2, "ppn": 8,
+             "msg_size": 64},
+            {"collective": "allgather", "nodes": 2.5, "ppn": 8,
+             "msg_size": 64},
+            {"collective": "allgather", "nodes": 2, "ppn": 8,
+             "msg_size": {"z": 1, "a": [0.5, None]}},
+            {"collective": "allgather", "nodes": 2, "ppn": 8,
+             "msg_size": 10 ** 29},
+            VALID[0]]
+        with DaemonClient(running_daemon.config.socket_path) as client:
+            client._file.write(json.dumps(
+                {"id": "j", "op": "select", "queries": queries},
+                ensure_ascii=False).encode("utf-8") + b"\n")
+            client._file.flush()
+            line = client._file.readline()
+        reply = json.loads(line)
+        assert line.decode("utf-8") == json.dumps(
+            reply, sort_keys=True, separators=(",", ":")) + "\n"
+        assert [d["action"] for d in reply["decisions"]][:4] == \
+            ["invalid"] * 4
+        assert [d["msg_size"] for d in reply["decisions"]] == \
+            [q["msg_size"] for q in queries]
 
     def test_protocol_garbage_answered_not_fatal(self, running_daemon):
         with DaemonClient(running_daemon.config.socket_path) as client:
