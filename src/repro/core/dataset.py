@@ -383,7 +383,15 @@ def benchmark_config(spec: ClusterSpec, collective: str, nodes: int,
     exhausted retries propagate :class:`TransientCollectionError` and
     the caller decides whether to drop the configuration.
     """
-    machine = Machine(spec, nodes, ppn)
+    return _benchmark(Machine(spec, nodes, ppn), collective, msg_size,
+                      faults, retry)
+
+
+def _benchmark(machine: Machine, collective: str, msg_size: int,
+               faults: FaultProfile | None,
+               retry: RetryPolicy | None) -> CollectiveRecord:
+    """:func:`benchmark_config` on a given machine (whose plans every
+    message size of its job shape shares)."""
     if faults is None or faults.is_clean:
         times = {
             name: measured_time(machine, collective, name, msg_size)
@@ -396,8 +404,8 @@ def benchmark_config(spec: ClusterSpec, collective: str, nodes: int,
                                        msg_size, faults, retry)
             for name in base.algorithm_names(collective)
         }
-    return CollectiveRecord(spec.name, collective, nodes, ppn,
-                            msg_size, times)
+    return CollectiveRecord(machine.spec.name, collective, machine.nodes,
+                            machine.ppn, msg_size, times)
 
 
 def _cache_dir(cache_dir: str | Path | None) -> Path:
@@ -498,19 +506,25 @@ def _collect_chunk(spec: ClusterSpec, collective: str,
 
     Top-level so it pickles into worker processes; measurements are
     pure functions of the configuration, so parallel collection is
-    bit-identical to serial.  Returns ``(records, dropped)`` where
-    *dropped* counts configurations whose measurements exhausted their
-    retries — collection survives flaky fabrics instead of crashing.
+    bit-identical to serial.  Each job shape is measured on one
+    :class:`Machine`, so each algorithm's plan is built once per shape
+    and sized for every message size of the grid.  Returns ``(records,
+    dropped)`` where *dropped* counts configurations whose measurements
+    exhausted their retries — collection survives flaky fabrics instead
+    of crashing.
     """
     records: list[CollectiveRecord] = []
     dropped = 0
+    machine = None
     with get_tracer().span("collect.chunk", cluster=spec.name,
                            collective=collective) as span:
         for nodes, ppn, msg in feasible_configs(spec, collective):
+            if machine is None or (machine.nodes, machine.ppn) \
+                    != (nodes, ppn):
+                machine = Machine(spec, nodes, ppn)
             try:
-                records.append(benchmark_config(spec, collective, nodes,
-                                                ppn, msg, faults=faults,
-                                                retry=retry))
+                records.append(_benchmark(machine, collective, msg,
+                                          faults, retry))
             except TransientCollectionError:
                 dropped += 1
         if span is not None:

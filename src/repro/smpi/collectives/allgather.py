@@ -25,12 +25,12 @@ from typing import Any, Generator
 import numpy as np
 
 from ...simcluster.engine import Event
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import EMPTY_PLAN, Machine, Plan, Step
 from ..comm import Communicator
 from .base import (
     ALLGATHER,
     CollectiveAlgorithm,
-    full_copy_round,
+    multiples,
     ranks_array,
     register,
 )
@@ -124,45 +124,56 @@ class RecursiveDoublingAllgather(_AllgatherBase):
         return sorted(blocks)
 
     # -- schedule level ---------------------------------------------------
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         q, r = _rd_geometry(p)
-        m = float(msg_size)
-        rounds: Schedule = []
-        counts = np.ones(q)
-
-        if r:
-            rem = np.arange(r, dtype=np.int64)
-            rounds.append(Round(src=rem + q, dst=rem,
-                                size=np.full(r, m)))
-            counts[:r] = 2.0
-
+        rem = np.arange(r, dtype=np.int64)
         core = np.arange(q, dtype=np.int64)
+        counts = np.ones(q)
+        counts[:r] = 2.0
+        # Each round as (src, dst, blocks each message carries, which
+        # messages are the second half of a split exchange).
+        rounds = [(rem + q, rem, np.ones(r), np.zeros(r, bool))] if r \
+            else []
         for k in range(q.bit_length() - 1):
             partner = core ^ (1 << k)
-            sizes = counts[core] * m
             if self.split == 1:
-                rounds.append(Round(src=core, dst=partner, size=sizes))
+                rounds.append((core, partner, counts, np.zeros(q, bool)))
             else:
-                hi = np.ceil(counts[core] / 2.0) * m
-                lo = sizes - hi
-                # Single-block exchanges cannot be split.
-                single = counts[core] < 2
-                hi = np.where(single, sizes, hi)
-                lo = np.where(single, 0.0, lo)
-                src2 = np.concatenate([core, core[~single]])
-                dst2 = np.concatenate([partner, partner[~single]])
-                sz2 = np.concatenate([hi, lo[~single]])
-                rounds.append(Round(src=src2, dst=dst2, size=sz2))
+                # Single-block exchanges cannot be split; the first
+                # half carries ceil(c / 2) blocks.
+                pair = counts >= 2
+                rounds.append((
+                    np.concatenate([core, core[pair]]),
+                    np.concatenate([partner, partner[pair]]),
+                    np.concatenate([np.ceil(counts / 2.0), counts[pair]]),
+                    np.arange(q + int(pair.sum())) >= q))
             counts = counts + counts[core ^ (1 << k)]
-
         if r:
-            rem = np.arange(r, dtype=np.int64)
-            rounds.append(Round(src=rem, dst=rem + q,
-                                size=np.full(r, p * m)))
-        return rounds
+            rounds.append((rem, rem + q, np.full(r, float(p)),
+                           np.zeros(r, bool)))
+
+        # Byte terms: c * m per distinct whole count c, then the second
+        # halves' c * m - ceil(c / 2) * m per distinct pair count c.
+        src, dst, carried, second = (np.concatenate(a)
+                                     for a in zip(*rounds))
+        term = np.empty(len(carried), dtype=np.intp)
+        whole, term[~second] = np.unique(carried[~second],
+                                         return_inverse=True)
+        split, term[second] = np.unique(carried[second],
+                                        return_inverse=True)
+        term[second] += len(whole)
+
+        def terms(msg_size: int) -> np.ndarray:
+            m = float(msg_size)
+            return np.concatenate([whole * m,
+                                   split * m - np.ceil(split / 2.0) * m])
+
+        n_msgs = [len(rnd[0]) for rnd in rounds]
+        return Plan(src, dst, term, [], [], n_msgs, [0] * len(rounds),
+                    [1] * len(rounds), terms)
 
 
 class RdCommunicationAllgather(RecursiveDoublingAllgather):
@@ -193,14 +204,13 @@ class RingAllgather(_AllgatherBase):
             blocks.append(outgoing)
         return sorted(blocks)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        return [Round(src=ranks, dst=(ranks + 1) % p,
-                      size=np.full(p, float(msg_size)),
-                      repeat=p - 1)]
+        return Plan.of_steps([Step(ranks, (ranks + 1) % p, repeat=p - 1)],
+                             multiples([1.0]))
 
 
 class BruckAllgather(_AllgatherBase):
@@ -229,22 +239,21 @@ class BruckAllgather(_AllgatherBase):
         yield from comm.local_copy(rank, p * msg_size)
         return sorted(blocks)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        rounds: Schedule = []
+        steps, coef = [], []
         k = 0
         while (1 << k) < p:
             step = 1 << k
-            cnt = min(step, p - step)
-            rounds.append(Round(src=ranks, dst=(ranks - step) % p,
-                                size=np.full(p, cnt * m)))
+            steps.append(Step(ranks, (ranks - step) % p, size=k))
+            coef.append(min(step, p - step))
             k += 1
-        rounds.append(full_copy_round(p, p * m))
-        return rounds
+        # Local rotation of the full result.
+        steps.append(Step(copy_ranks=ranks, copy=k))
+        return Plan.of_steps(steps, multiples(coef + [p]))
 
 
 RECURSIVE_DOUBLING = register(RecursiveDoublingAllgather())

@@ -31,12 +31,13 @@ from typing import Any, Generator
 import numpy as np
 
 from ...simcluster.engine import Event
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import EMPTY_PLAN, Machine, Plan, Step
 from ..comm import Communicator
 from .base import (
     ALLREDUCE,
     CollectiveAlgorithm,
     is_power_of_two,
+    multiples,
     ranks_array,
     register,
 )
@@ -112,26 +113,19 @@ class RecursiveDoublingAllreduce(_AllreduceBase):
                                  dict(state), m)
         return state
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         q, r = _rd_geometry(p)
-        m = float(msg_size)
-        rounds: Schedule = []
-        if r:
-            rem = np.arange(r, dtype=np.int64)
-            rounds.append(Round(src=rem + q, dst=rem, size=np.full(r, m),
-                                copy_ranks=rem, copy_bytes=np.full(r, m)))
+        rem = np.arange(r, dtype=np.int64)
         core = np.arange(q, dtype=np.int64)
-        for k in range(q.bit_length() - 1):
-            rounds.append(Round(src=core, dst=core ^ (1 << k),
-                                size=np.full(q, m), copy_ranks=core,
-                                copy_bytes=np.full(q, m)))
+        steps = [Step(rem + q, rem, copy_ranks=rem)] if r else []
+        steps += [Step(core, core ^ (1 << k), copy_ranks=core)
+                  for k in range(q.bit_length() - 1)]
         if r:
-            rem = np.arange(r, dtype=np.int64)
-            rounds.append(Round(src=rem, dst=rem + q, size=np.full(r, m)))
-        return rounds
+            steps.append(Step(rem, rem + q))
+        return Plan.of_steps(steps, multiples([1.0]))
 
 
 class RingRsagAllreduce(_AllreduceBase):
@@ -170,18 +164,16 @@ class RingRsagAllreduce(_AllreduceBase):
             _merge(state, got)
         return state
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        seg = float(max(1, msg_size // p))
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        rs = Round(src=ranks, dst=(ranks + 1) % p, size=np.full(p, seg),
-                   copy_ranks=ranks, copy_bytes=np.full(p, seg),
-                   repeat=p - 1)
-        ag = Round(src=ranks, dst=(ranks + 1) % p, size=np.full(p, seg),
-                   repeat=p - 1)
-        return [rs, ag]
+        right = (ranks + 1) % p
+        return Plan.of_steps(
+            [Step(ranks, right, copy_ranks=ranks, repeat=p - 1),
+             Step(ranks, right, repeat=p - 1)],
+            lambda msg_size: [float(max(1, msg_size // p))])
 
 
 class RabenseifnerAllreduce(_AllreduceBase):
@@ -240,31 +232,27 @@ class RabenseifnerAllreduce(_AllreduceBase):
             lo, hi = plo, phi
         return state
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         if not is_power_of_two(p):
-            return RING_RSAG.schedule(machine, msg_size)
+            return machine.plan(RING_RSAG)
         ranks = ranks_array(p)
         logp = p.bit_length() - 1
-        rounds: Schedule = []
-        # Halving: sizes m/2, m/4, ... (integer math mirrors the
-        # data-level executor exactly).
-        for k in range(logp):
-            width = p >> k  # segment-range width before this step
-            size = float(max(1, msg_size * width // (2 * p)))
-            rounds.append(Round(src=ranks,
-                                dst=ranks ^ (1 << (logp - 1 - k)),
-                                size=np.full(p, size), copy_ranks=ranks,
-                                copy_bytes=np.full(p, size)))
-        # Doubling: sizes m/p, 2m/p, ...
-        for k in range(logp):
-            width = 1 << k
-            size = float(max(1, msg_size * width // p))
-            rounds.append(Round(src=ranks, dst=ranks ^ (1 << k),
-                                size=np.full(p, size)))
-        return rounds
+        # Halving: sizes m/2, m/4, ... (width p >> k of the segment
+        # range before step k); doubling: sizes m/p, 2m/p, ...  Integer
+        # math mirrors the data-level executor exactly.
+        halving = [Step(ranks, ranks ^ (1 << (logp - 1 - k)), size=k,
+                        copy_ranks=ranks, copy=k) for k in range(logp)]
+        doubling = [Step(ranks, ranks ^ (1 << k), size=logp + k)
+                    for k in range(logp)]
+        shares = [(p >> k, 2 * p) for k in range(logp)] \
+            + [(1 << k, p) for k in range(logp)]
+        return Plan.of_steps(
+            halving + doubling,
+            lambda msg_size: [float(max(1, msg_size * width // parts))
+                              for width, parts in shares])
 
 
 class ReduceBcastAllreduce(_AllreduceBase):
@@ -310,36 +298,28 @@ class ReduceBcastAllreduce(_AllreduceBase):
                                      dict(state), m)
         return state
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
-        rounds: Schedule = []
+            return EMPTY_PLAN
+        ranks = ranks_array(p)
+        steps = []
         logp = (p - 1).bit_length()
         # Reduce rounds: senders are ranks with bit k set, lower clear.
         for k in range(logp):
             bit = 1 << k
-            ranks = np.arange(p, dtype=np.int64)
             senders = ranks[(ranks & bit > 0) & (ranks & (bit - 1) == 0)]
-            if len(senders) == 0:
-                continue
-            rounds.append(Round(
-                src=senders, dst=senders - bit,
-                size=np.full(len(senders), m),
-                copy_ranks=senders - bit,
-                copy_bytes=np.full(len(senders), m)))
+            if len(senders):
+                steps.append(Step(senders, senders - bit,
+                                  copy_ranks=senders - bit))
         # Bcast rounds: mirror.
         for k in reversed(range(logp)):
             bit = 1 << k
-            ranks = np.arange(p, dtype=np.int64)
             sources = ranks[(ranks & (2 * bit - 1) == 0)
                             & ((ranks | bit) < p)]
-            if len(sources) == 0:
-                continue
-            rounds.append(Round(src=sources, dst=sources + bit,
-                                size=np.full(len(sources), m)))
-        return rounds
+            if len(sources):
+                steps.append(Step(sources, sources + bit))
+        return Plan.of_steps(steps, multiples([1.0]))
 
 
 RECURSIVE_DOUBLING = register(RecursiveDoublingAllreduce())

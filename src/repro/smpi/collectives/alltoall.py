@@ -25,12 +25,13 @@ from typing import Any, Generator
 import numpy as np
 
 from ...simcluster.engine import Event
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import EMPTY_PLAN, Machine, Plan, Step
 from ..comm import Communicator
 from .base import (
     ALLTOALL,
     CollectiveAlgorithm,
     is_power_of_two,
+    multiples,
     ranks_array,
     register,
 )
@@ -67,18 +68,16 @@ class ScatterDestAlltoall(_AlltoallBase):
             result.extend(got)
         return sorted(result)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         ranks = ranks_array(p)
         offsets = np.arange(1, p, dtype=np.int64)
         src = np.repeat(ranks, p - 1)
         dst = (src + np.tile(offsets, p)) % p
-        return [Round(src=src, dst=dst,
-                      size=np.full(p * (p - 1), float(msg_size)),
-                      copy_ranks=ranks,
-                      copy_bytes=np.full(p, float(msg_size)))]
+        return Plan.of_steps([Step(src, dst, copy_ranks=ranks)],
+                             multiples([1.0]))
 
 
 class PairwiseAlltoall(_AlltoallBase):
@@ -104,22 +103,20 @@ class PairwiseAlltoall(_AlltoallBase):
             result.extend(got)
         return sorted(result)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         ranks = ranks_array(p)
         offsets = ranks[1:, None]
         # Every round's destinations in one broadcast (row k-1 is
-        # round k); the rounds share the rank and size arrays.
+        # round k), after a copy-only round for the own block.
         dsts = ranks ^ offsets if is_power_of_two(p) \
             else (ranks + offsets) % p
-        sizes = np.full(p, float(msg_size))
-        rounds: Schedule = [Round(
-            src=np.empty(0, np.int64), dst=np.empty(0, np.int64),
-            size=np.empty(0), copy_ranks=ranks, copy_bytes=sizes)]
-        rounds += [Round(src=ranks, dst=dst, size=sizes) for dst in dsts]
-        return rounds
+        return Plan(np.tile(ranks, p - 1), dsts.ravel(),
+                    np.broadcast_to(0, p * (p - 1)), ranks,
+                    np.broadcast_to(0, p), [0] + [p] * (p - 1),
+                    [p] + [0] * (p - 1), [1] * p, multiples([1.0]))
 
 
 class BruckAlltoall(_AlltoallBase):
@@ -157,33 +154,25 @@ class BruckAlltoall(_AlltoallBase):
         yield from comm.local_copy(rank, p * msg_size)
         return sorted(slots)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        all_ranks = ranks
-        rounds: Schedule = [Round(
-            src=np.empty(0, np.int64), dst=np.empty(0, np.int64),
-            size=np.empty(0), copy_ranks=all_ranks,
-            copy_bytes=np.full(p, p * m))]
+        # Term 0 is the whole buffer (rotations); step k sends term
+        # 2k + 1 and packs + unpacks term 2k + 2.
+        steps, coef = [Step(copy_ranks=ranks)], [p]
         k = 0
         j = np.arange(p)
         while (1 << k) < p:
             step = 1 << k
             cnt = int(np.count_nonzero(j & step))
-            rounds.append(Round(
-                src=ranks, dst=(ranks + step) % p,
-                size=np.full(p, cnt * m),
-                copy_ranks=all_ranks,
-                copy_bytes=np.full(p, 2.0 * cnt * m)))  # pack + unpack
+            steps.append(Step(ranks, (ranks + step) % p, size=2 * k + 1,
+                              copy_ranks=ranks, copy=2 * k + 2))
+            coef += [cnt, 2.0 * cnt]
             k += 1
-        rounds.append(Round(
-            src=np.empty(0, np.int64), dst=np.empty(0, np.int64),
-            size=np.empty(0), copy_ranks=all_ranks,
-            copy_bytes=np.full(p, p * m)))
-        return rounds
+        steps.append(Step(copy_ranks=ranks))
+        return Plan.of_steps(steps, multiples(coef))
 
 
 class RecursiveDoublingAlltoall(_AlltoallBase):
@@ -218,23 +207,18 @@ class RecursiveDoublingAlltoall(_AlltoallBase):
             held.extend(got)
         return sorted(held)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         if not is_power_of_two(p):
-            return PAIRWISE.schedule(machine, msg_size)
-        m = float(msg_size)
+            return machine.plan(PAIRWISE)
         ranks = ranks_array(p)
         half = p / 2.0
-        rounds: Schedule = []
-        for k in range(p.bit_length() - 1):
-            rounds.append(Round(
-                src=ranks, dst=ranks ^ (1 << k),
-                size=np.full(p, half * m),
-                copy_ranks=ranks,
-                copy_bytes=np.full(p, 2.0 * half * m)))
-        return rounds
+        return Plan.of_steps(
+            [Step(ranks, ranks ^ (1 << k), size=0, copy_ranks=ranks, copy=1)
+             for k in range(p.bit_length() - 1)],
+            multiples([half, 2.0 * half]))
 
 
 class InplaceAlltoall(_AlltoallBase):
@@ -261,17 +245,17 @@ class InplaceAlltoall(_AlltoallBase):
             result.extend(got)
         return sorted(result)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        sizes = np.full(p, m)
-        copies = np.full(p, 2.0 * m)
-        return [Round(src=ranks, dst=dst, size=sizes, copy_ranks=ranks,
-                      copy_bytes=copies)
-                for dst in (ranks + ranks[1:, None]) % p]
+        n = p * (p - 1)
+        return Plan(np.tile(ranks, p - 1),
+                    ((ranks + ranks[1:, None]) % p).ravel(),
+                    np.broadcast_to(0, n), np.tile(ranks, p - 1),
+                    np.broadcast_to(1, n), [p] * (p - 1), [p] * (p - 1),
+                    [1] * (p - 1), multiples([1.0, 2.0]))
 
 
 BRUCK = register(BruckAlltoall())

@@ -21,9 +21,15 @@ from typing import Any, Generator
 import numpy as np
 
 from ...simcluster.engine import Event
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import EMPTY_PLAN, Machine, Plan, Step
 from ..comm import Communicator
-from .base import BCAST, CollectiveAlgorithm, ranks_array, register
+from .base import (
+    BCAST,
+    CollectiveAlgorithm,
+    multiples,
+    ranks_array,
+    register,
+)
 
 #: Pipeline depth of the ring algorithm.
 RING_CHUNKS = 8
@@ -65,22 +71,20 @@ class BinomialBcast(_BcastBase):
                                      msg_size)
         return sorted(chunks)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        rounds: Schedule = []
+        steps = []
         logp = (p - 1).bit_length()
         for k in reversed(range(logp)):
             bit = 1 << k
             sources = ranks[(ranks & (2 * bit - 1) == 0)
                             & ((ranks | bit) < p)]
             if len(sources):
-                rounds.append(Round(src=sources, dst=sources + bit,
-                                    size=np.full(len(sources), m)))
-        return rounds
+                steps.append(Step(sources, sources + bit))
+        return Plan.of_steps(steps, multiples([1.0]))
 
 
 def _scatter_transfers(p: int) -> list[tuple[int, int, int, int, int]]:
@@ -107,6 +111,17 @@ def _scatter_transfers(p: int) -> list[tuple[int, int, int, int, int]]:
                 hi[dst] = hi[r]
                 hi[r] = dst
     return plan
+
+
+def _scatter_steps(p: int) -> list[Step]:
+    """The binomial scatter as plan rounds, one per level, high level
+    first.  Each message's ``size`` is still its count of chunks
+    (``hi - lo``), for the caller to turn into byte terms."""
+    by_level: dict[int, list[tuple[int, int, int]]] = {}
+    for level, src, dst, lo, hi in _scatter_transfers(p):
+        by_level.setdefault(level, []).append((src, dst, hi - lo))
+    return [Step(*np.asarray(by_level[level], dtype=np.int64).T)
+            for level in sorted(by_level, reverse=True)]
 
 
 class ScatterAllgatherBcast(_BcastBase):
@@ -144,26 +159,20 @@ class ScatterAllgatherBcast(_BcastBase):
             held.update(got)
         return sorted(held)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        chunk = float(max(1, msg_size // p))
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        rounds: Schedule = []
-        by_level: dict[int, list[tuple[int, int, float]]] = {}
-        for level, src, dst, lo, hi in _scatter_transfers(p):
-            by_level.setdefault(level, []).append(
-                (src, dst, (hi - lo) * chunk))
-        for level in sorted(by_level, reverse=True):
-            entries = by_level[level]
-            rounds.append(Round(
-                src=np.asarray([e[0] for e in entries], dtype=np.int64),
-                dst=np.asarray([e[1] for e in entries], dtype=np.int64),
-                size=np.asarray([e[2] for e in entries])))
-        rounds.append(Round(src=ranks, dst=(ranks + 1) % p,
-                            size=np.full(p, chunk), repeat=p - 1))
-        return rounds
+        # A scatter message carries hi - lo chunks and a ring message
+        # one (term 0), each chunk max(1, msg_size // p) bytes.
+        scatter = _scatter_steps(p)
+        chunks = np.unique(np.concatenate([[1], *(s.size for s in scatter)]))
+        steps = [s._replace(size=np.searchsorted(chunks, s.size))
+                 for s in scatter]
+        steps.append(Step(ranks, (ranks + 1) % p, repeat=p - 1))
+        return Plan.of_steps(
+            steps, lambda msg_size: chunks * float(max(1, msg_size // p)))
 
 
 class RingPipelinedBcast(_BcastBase):
@@ -202,29 +211,23 @@ class RingPipelinedBcast(_BcastBase):
                     held.extend(got)
         return sorted(held)
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         chunks = min(RING_CHUNKS, p)
-        groups = np.array_split(np.arange(p), chunks)
-        group_bytes = [float(max(1, len(g) * msg_size // p))
-                       for g in groups]
-        rounds: Schedule = []
-        for step in range((p - 2) + chunks):
-            src = []
-            size = []
-            for r in range(p - 1):
-                g = step - r
-                if 0 <= g < chunks:
-                    src.append(r)
-                    size.append(group_bytes[g])
-            if src:
-                src_arr = np.asarray(src, dtype=np.int64)
-                rounds.append(Round(src=src_arr,
-                                    dst=(src_arr + 1) % p,
-                                    size=np.asarray(size)))
-        return rounds
+        lengths = [len(g) for g in np.array_split(np.arange(p), chunks)]
+        # Rank r < p - 1 forwards group g at step r + g; a step's
+        # senders in rank order.  Every step has one.
+        rank, group = np.divmod(np.arange((p - 1) * chunks), chunks)
+        order = np.lexsort((rank, rank + group))
+        src = rank[order]
+        steps = np.bincount(rank + group, minlength=p - 2 + chunks)
+        return Plan(src, (src + 1) % p, group[order], np.empty(0),
+                    np.empty(0), steps, [0] * len(steps),
+                    [1] * len(steps),
+                    lambda msg_size: [float(max(1, n_g * msg_size // p))
+                                      for n_g in lengths])
 
 
 BINOMIAL = register(BinomialBcast())

@@ -22,17 +22,18 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import EMPTY_PLAN, Machine, Plan, Step
 from ..comm import Communicator
 from .base import (
     REDUCE_SCATTER,
     CollectiveAlgorithm,
     is_power_of_two,
+    multiples,
     ranks_array,
     register,
 )
 from .allreduce import _merge, allreduce_initial
-from .bcast import _scatter_transfers
+from .bcast import _scatter_steps, _scatter_transfers
 
 
 def reduce_scatter_expected(rank: int, p: int) -> dict[int, frozenset]:
@@ -73,15 +74,14 @@ class PairwiseReduceScatter(_ReduceScatterBase):
             yield from comm.local_copy(rank, msg_size)  # reduce pass
         return {rank: state[rank]}
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        m = float(msg_size)
+            return EMPTY_PLAN
         ranks = ranks_array(p)
-        return [Round(src=ranks, dst=(ranks + 1) % p, size=np.full(p, m),
-                      copy_ranks=ranks, copy_bytes=np.full(p, m),
-                      repeat=p - 1)]
+        return Plan.of_steps([Step(ranks, (ranks + 1) % p,
+                                   copy_ranks=ranks, repeat=p - 1)],
+                             multiples([1.0]))
 
 
 class RecursiveHalvingReduceScatter(_ReduceScatterBase):
@@ -122,23 +122,20 @@ class RecursiveHalvingReduceScatter(_ReduceScatterBase):
         assert (lo, hi) == (rank, rank + 1)
         return {rank: state[rank]}
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
+            return EMPTY_PLAN
         if not is_power_of_two(p):
-            return PAIRWISE.schedule(machine, msg_size)
+            return machine.plan(PAIRWISE)
         ranks = ranks_array(p)
         logp = p.bit_length() - 1
-        rounds: Schedule = []
-        for k in range(logp):
-            width = p >> k
-            size = float(max(1, msg_size * width // 2))
-            rounds.append(Round(src=ranks,
-                                dst=ranks ^ (1 << (logp - 1 - k)),
-                                size=np.full(p, size), copy_ranks=ranks,
-                                copy_bytes=np.full(p, size)))
-        return rounds
+        widths = [p >> k for k in range(logp)]
+        return Plan.of_steps(
+            [Step(ranks, ranks ^ (1 << (logp - 1 - k)), size=k,
+                  copy_ranks=ranks, copy=k) for k in range(logp)],
+            lambda msg_size: [float(max(1, msg_size * width // 2))
+                              for width in widths])
 
 
 class ReduceScattervReduceScatter(_ReduceScatterBase):
@@ -182,34 +179,28 @@ class ReduceScattervReduceScatter(_ReduceScatterBase):
                 owned = dict(owned)
         return {rank: owned[rank]}
 
-    def schedule(self, machine: Machine, msg_size: int) -> Schedule:
+    def build_plan(self, machine: Machine) -> Plan:
         p = machine.p
         if p == 1:
-            return []
-        full = float(p * msg_size)
-        rounds: Schedule = []
+            return EMPTY_PLAN
+        steps = []
         logp = (p - 1).bit_length()
         ranks = ranks_array(p)
+        # Term 0 is the whole reduced vector, float(p * msg_size); the
+        # scatter's messages carry seg_hi - seg_lo segments of msg_size.
         for k in range(logp):
             bit = 1 << k
             senders = ranks[(ranks & bit > 0) & (ranks & (bit - 1) == 0)]
             if len(senders):
-                rounds.append(Round(
-                    src=senders, dst=senders - bit,
-                    size=np.full(len(senders), full),
-                    copy_ranks=senders - bit,
-                    copy_bytes=np.full(len(senders), full)))
-        by_level: dict[int, list[tuple[int, int, float]]] = {}
-        for level, src, dst, seg_lo, seg_hi in _scatter_transfers(p):
-            by_level.setdefault(level, []).append(
-                (src, dst, (seg_hi - seg_lo) * float(msg_size)))
-        for level in sorted(by_level, reverse=True):
-            entries = by_level[level]
-            rounds.append(Round(
-                src=np.asarray([e[0] for e in entries], dtype=np.int64),
-                dst=np.asarray([e[1] for e in entries], dtype=np.int64),
-                size=np.asarray([e[2] for e in entries])))
-        return rounds
+                steps.append(Step(senders, senders - bit,
+                                  copy_ranks=senders - bit))
+        scatter = _scatter_steps(p)
+        segments = np.unique(np.concatenate([s.size for s in scatter]))
+        steps += [s._replace(size=1 + np.searchsorted(segments, s.size))
+                  for s in scatter]
+        return Plan.of_steps(
+            steps, lambda msg_size: np.concatenate(
+                [[float(p * msg_size)], segments * float(msg_size)]))
 
 
 PAIRWISE = register(PairwiseReduceScatter())

@@ -29,7 +29,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ...simcluster.machine import Machine, Round, Schedule
+from ...simcluster.machine import FlatSchedule, Machine, Round, Schedule
 from ..comm import Communicator
 from ..subcomm import RemappedComm
 from .base import ALLGATHER, CollectiveAlgorithm, get_algorithm
@@ -78,7 +78,17 @@ def _intra_fanout_rounds(machine: Machine, nbytes: float) -> Schedule:
                   copy_bytes=np.full(len(non_leaders), float(nbytes)))]
 
 
-class TwoLevelAllgather(CollectiveAlgorithm):
+class _TwoLevel(CollectiveAlgorithm):
+    """A composition priced from its :class:`Round` list, which it
+    builds per message size from its leader phase's :meth:`schedule`
+    (no plan of its own)."""
+
+    def flat_schedule(self, machine: Machine,
+                      msg_size: int) -> FlatSchedule:
+        return FlatSchedule.of_rounds(self.schedule(machine, msg_size))
+
+
+class TwoLevelAllgather(_TwoLevel):
     """Gather-to-leader, flat allgather among leaders, shm fan-out.
 
     The leader phase carries each node's *actual* gathered blocks, so
@@ -147,7 +157,7 @@ class TwoLevelAllgather(CollectiveAlgorithm):
         return rounds
 
 
-class _ReconstructedTwoLevel(CollectiveAlgorithm):
+class _ReconstructedTwoLevel(_TwoLevel):
     """Shared scaffolding for the collectives whose leader phase moves
     identifiers (alltoall/allreduce/bcast): intra fan-in of
     ``fanin_bytes``, flat leader phase at ``inter_msg`` bytes, fan-out

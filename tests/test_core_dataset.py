@@ -1,6 +1,7 @@
 """Tests for dataset collection, records, and (de)serialization."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from repro.core.dataset import (
 from repro.hwmodel import get_cluster
 from repro.ml import parallel as ml_parallel
 from repro.smpi import algorithm_names
+from repro.smpi.tuning import clear_measurement_cache
+
+GOLDEN = Path(__file__).parent / "golden" / "mini_dataset.jsonl.gz"
 
 
 class TestRecord:
@@ -37,6 +41,22 @@ class TestRecord:
         a = benchmark_config(spec, "allgather", 2, 4, 1024)
         b = benchmark_config(spec, "allgather", 2, 4, 1024)
         assert a.times == b.times
+
+
+class TestFrozenCollection:
+    def test_collection_reproduces_the_golden_dataset(self, tmp_path):
+        """A fresh RI+Ray collection equals the golden dataset, frozen
+        before schedule plans existed, record for record (times by
+        ``==``): drift in plan sizing or pricing order shows against
+        data the current code did not write."""
+        clear_measurement_cache()
+        fresh = collect_dataset([get_cluster("RI"), get_cluster("Ray")],
+                                cache_dir=tmp_path, use_cache=False)
+        golden = TuningDataset.load(GOLDEN)
+        assert len(fresh) == len(golden) == 588
+        for got, frozen in zip(fresh.records, golden.records):
+            assert got == frozen, (got.cluster, got.collective, got.nodes,
+                                   got.ppn, got.msg_size)
 
 
 class TestFeasibleConfigs:

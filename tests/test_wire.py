@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.hwmodel import get_cluster
 from repro.serve import DecisionBlock, QueryBlock, SelectionService
-from repro.serve.protocol import encode, ok_response
+from repro.serve.protocol import (
+    _column_json,
+    _value_json,
+    encode,
+    ok_response,
+)
 from repro.smpi.heuristics import MvapichDefaultSelector
 
 SPEC = get_cluster("RI")
@@ -98,6 +103,42 @@ class TestEncodeDifferential:
         payload = ok_response(req_id, decisions=block, snapshot=snapshot,
                               **extra)
         assert encode(payload) == oracle_line(payload)
+
+
+class TestMostlyStringColumns:
+    """A column of strings with a few other values — the ``algorithm``
+    column of a batch with invalid rows holds ``None`` there — writes
+    its strings in one pass and the rest one at a time."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(names=st.lists(st.sampled_from(COLLECTIVES + ODD_STRINGS)
+                          | st.text(max_size=4), min_size=1, max_size=40),
+           others=st.lists(st.tuples(st.integers(0, 39),
+                                     st.none() | st.booleans() | junk),
+                           max_size=4))
+    @example(names=["allgather"] * 507 + ["nope"] * 5, others=[])
+    @example(names=["alltoall"] * 40,
+             others=[(3, None), (9, True), (17, {"b": 1, "a": [None]})])
+    def test_reply_bytes_equal_json_dumps_of_to_dicts(self, names,
+                                                      others):
+        rows = [{"collective": name, "nodes": 2, "ppn": 4,
+                 "msg_size": 64} for name in names]
+        for i, value in others:
+            rows[i % len(rows)]["collective"] = value
+        block = serve(rows)
+        algorithms = block.algorithms.tolist()
+        assert any(a is None for a in algorithms) == any(
+            r["collective"] not in COLLECTIVES for r in rows)
+        payload = ok_response(7, decisions=block, snapshot=1)
+        assert encode(payload) == oracle_line(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.sampled_from(ODD_STRINGS) | leaves | junk,
+                           min_size=1, max_size=30))
+    @example(values=["a", None, "b", False, 3, 2.5, {"k": "v"}, "\ud800"])
+    def test_column_text_equals_value_text(self, values):
+        assert _column_json(values) == [_value_json(v) for v in values]
 
 
 class TestBlockIsReadOnly:
