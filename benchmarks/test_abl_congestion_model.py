@@ -42,10 +42,8 @@ def run_ablation():
     return full_large, full_small, abl_large, abl_small
 
 
-def test_ablation_congestion_model(benchmark, report):
-    (full_large, full_small, abl_large,
-     abl_small) = benchmark.pedantic(run_ablation, rounds=1,
-                                     iterations=1)
+def test_ablation_congestion_model(report):
+    full_large, full_small, abl_large, abl_small = run_ablation()
 
     def fmt(tag, res):
         winner, times = res

@@ -26,7 +26,7 @@ FEATURE_SETS = {
 }
 
 
-def test_ablation_hardware_features(benchmark, dataset, report):
+def test_ablation_hardware_features(dataset, report):
     def run():
         train, test = split_dataset(dataset, "cluster")
         out = {}
@@ -45,7 +45,7 @@ def test_ablation_hardware_features(benchmark, dataset, report):
             out[coll] = per_set
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = [f"{'collective':<12} {'features':<10} {'accuracy':>9} "
              f"{'mean regret':>12}"]

@@ -36,8 +36,7 @@ def _sweep_regret(machine, degraded, selector_fn):
     return float(np.mean(regrets))
 
 
-def test_ablation_network_conditions(benchmark, heldout_selector,
-                                     report):
+def test_ablation_network_conditions(heldout_selector, report):
     spec = get_cluster("Frontera")
     machine = Machine(spec, 8, 56)
 
@@ -54,7 +53,7 @@ def test_ablation_network_conditions(benchmark, heldout_selector,
             }
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = [f"{'bg load':>8} {'pml regret':>11} {'random regret':>14}"]
     for load, regs in results.items():

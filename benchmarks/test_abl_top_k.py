@@ -12,7 +12,7 @@ from repro.core.training import train_model
 KS = (3, 5, 8, 14)
 
 
-def test_ablation_top_k(benchmark, dataset, report):
+def test_ablation_top_k(dataset, report):
     def run():
         train, test = split_dataset(dataset, "cluster")
         out = {}
@@ -25,7 +25,7 @@ def test_ablation_top_k(benchmark, dataset, report):
             }
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = [f"{'collective':<12}" + "".join(f"{f'k={k}':>9}"
                                              for k in KS)]

@@ -25,7 +25,7 @@ EXT = ("allreduce", "bcast")
 PANELS = [("Frontera", 16, 56), ("MRI", 8, 64)]
 
 
-def test_future_work_collectives(benchmark, report):
+def test_future_work_collectives(report):
     def run():
         dataset = collect_dataset(collectives=EXT)
         train = dataset.filter(
@@ -47,7 +47,7 @@ def test_future_work_collectives(benchmark, report):
                 out[(cluster, coll)] = totals
         return dataset, out
 
-    dataset, results = benchmark.pedantic(run, rounds=1, iterations=1)
+    dataset, results = run()
 
     lines = [f"dataset: {len(dataset)} records, labels "
              f"{dataset.label_distribution()}",

@@ -37,8 +37,8 @@ def run_comparison():
     return out
 
 
-def test_two_level_extension(benchmark, report):
-    results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_two_level_extension(report):
+    results = run_comparison()
 
     lines = [f"{'collective':<10} {'msg':>9} {'best flat':>24} "
              f"{'best two-level':>28} {'2lvl/flat':>10}"]

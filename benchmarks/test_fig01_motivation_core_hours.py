@@ -24,8 +24,8 @@ def run_fig1():
     return micro, acclaim
 
 
-def test_fig01_core_hours(benchmark, report):
-    micro, acclaim = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
+def test_fig01_core_hours(report):
+    micro, acclaim = run_fig1()
     lines = [f"{'nodes':>6} {'microbench(core-h)':>20} "
              f"{'ACCLAiM(core-h)':>16}"]
     for n, m, a in zip(NODE_COUNTS, micro, acclaim):

@@ -32,8 +32,8 @@ def run_fig2():
     return out
 
 
-def test_fig02_cluster_variation(benchmark, report):
-    data = benchmark.pedantic(run_fig2, rounds=1, iterations=1)
+def test_fig02_cluster_variation(report):
+    data = run_fig2()
     lines = []
     winners = {}
     for cname, rows in data.items():

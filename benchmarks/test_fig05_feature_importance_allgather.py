@@ -17,10 +17,8 @@ from repro.core.training import feature_importance_report
 from repro.hwmodel.extract import HARDWARE_FEATURE_NAMES
 
 
-def test_fig05_importance_allgather(benchmark, dataset, report):
-    rep = benchmark.pedantic(
-        lambda: feature_importance_report(dataset, "allgather"),
-        rounds=1, iterations=1)
+def test_fig05_importance_allgather(dataset, report):
+    rep = feature_importance_report(dataset, "allgather")
 
     lines = [f"{'feature':<24} {'importance':>10}"]
     for name, value in rep:

@@ -15,10 +15,8 @@ from repro.core.training import feature_importance_report
 from repro.hwmodel.extract import HARDWARE_FEATURE_NAMES
 
 
-def test_fig06_importance_alltoall(benchmark, dataset, report):
-    rep = benchmark.pedantic(
-        lambda: feature_importance_report(dataset, "alltoall"),
-        rounds=1, iterations=1)
+def test_fig06_importance_alltoall(dataset, report):
+    rep = feature_importance_report(dataset, "alltoall")
 
     lines = [f"{'feature':<24} {'importance':>10}"]
     for name, value in rep:

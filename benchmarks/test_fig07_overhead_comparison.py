@@ -18,7 +18,7 @@ NODE_COUNTS = (2, 8, 32, 128, 512, 2048, 8192)
 PPN = 56
 
 
-def test_fig07_overhead(benchmark, heldout_selector, report):
+def test_fig07_overhead(heldout_selector, report):
     spec = get_cluster("Frontera")
 
     def run():
@@ -26,7 +26,7 @@ def test_fig07_overhead(benchmark, heldout_selector, report):
         return t_infer, overhead_curves(spec, "allgather", PPN,
                                         NODE_COUNTS, t_infer)
 
-    t_infer, curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    t_infer, curves = run()
 
     lines = [f"inference wall time: {t_infer * 1e3:.1f} ms",
              f"{'nodes':>6} {'microbench':>12} {'ACCLAiM':>12} "

@@ -16,7 +16,7 @@ from repro.smpi import RandomSelector
 NODES, PPN = 16, 56
 
 
-def test_fig08_vs_random(benchmark, heldout_selector, report):
+def test_fig08_vs_random(heldout_selector, report):
     spec = get_cluster("Frontera")
 
     def run():
@@ -27,7 +27,7 @@ def test_fig08_vs_random(benchmark, heldout_selector, report):
                 {"pml": heldout_selector, "random": RandomSelector(0)})
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = []
     for coll, res in results.items():

@@ -18,12 +18,9 @@ PANELS = [("allgather", 16, 56), ("alltoall", 16, 56),
           ("allgather", 16, 28), ("alltoall", 16, 28)]
 
 
-def test_fig09_frontera(benchmark, heldout_selector, report):
-    results = benchmark.pedantic(
-        lambda: run_panels("Frontera", "mvapich",
-                           MvapichDefaultSelector(), heldout_selector,
-                           PANELS),
-        rounds=1, iterations=1)
+def test_fig09_frontera(heldout_selector, report):
+    results = run_panels("Frontera", "mvapich", MvapichDefaultSelector(),
+                         heldout_selector, PANELS)
 
     lines = []
     for key, (res, summary) in results.items():

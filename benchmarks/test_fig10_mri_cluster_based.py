@@ -18,11 +18,9 @@ PANELS = [("allgather", 8, 128), ("alltoall", 8, 128),
           ("allgather", 8, 64), ("alltoall", 8, 64)]
 
 
-def test_fig10_mri(benchmark, heldout_selector, report):
-    results = benchmark.pedantic(
-        lambda: run_panels("MRI", "mvapich", MvapichDefaultSelector(),
-                           heldout_selector, PANELS),
-        rounds=1, iterations=1)
+def test_fig10_mri(heldout_selector, report):
+    results = run_panels("MRI", "mvapich", MvapichDefaultSelector(),
+                         heldout_selector, PANELS)
 
     lines = []
     for key, (res, summary) in results.items():

@@ -16,11 +16,9 @@ from sweep_utils import panel_lines, run_panels
 PANELS = [("allgather", 16, 56), ("alltoall", 16, 56)]
 
 
-def test_fig11_vs_openmpi(benchmark, heldout_selector, report):
-    results = benchmark.pedantic(
-        lambda: run_panels("Frontera", "ompi", OpenMpiDefaultSelector(),
-                           heldout_selector, PANELS),
-        rounds=1, iterations=1)
+def test_fig11_vs_openmpi(heldout_selector, report):
+    results = run_panels("Frontera", "ompi", OpenMpiDefaultSelector(),
+                         heldout_selector, PANELS)
 
     lines = []
     for key, (res, summary) in results.items():

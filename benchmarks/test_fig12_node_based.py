@@ -15,7 +15,7 @@ from repro.smpi import MvapichDefaultSelector
 from sweep_utils import panel_lines, run_panels
 
 
-def test_fig12_node_based(benchmark, frontera_node_selector,
+def test_fig12_node_based(frontera_node_selector,
                           mri_node_selector, report):
     def run():
         out = {}
@@ -29,7 +29,7 @@ def test_fig12_node_based(benchmark, frontera_node_selector,
             [("allgather", 8, 128), ("alltoall", 8, 128)])
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = []
     for system, panels in results.items():

@@ -18,7 +18,7 @@ COUNTS = [(1, 56), (2, 56), (4, 56), (8, 56), (16, 56)]
 STEPS = 50
 
 
-def test_fig13_applications(benchmark, heldout_selector, report):
+def test_fig13_applications(heldout_selector, report):
     spec = get_cluster("Frontera")
 
     def run():
@@ -33,7 +33,7 @@ def test_fig13_applications(benchmark, heldout_selector, report):
             out[app.name] = per_sel
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     paper = {"gromacs": (1.0290, 1.1939), "minife": (1.0443, 1.2066)}
     lines = []

@@ -25,7 +25,7 @@ CONFIGS = {
 }
 
 
-def test_summary_speedups(benchmark, heldout_selector, report):
+def test_summary_speedups(heldout_selector, report):
     def run():
         out = {}
         selectors = {
@@ -47,7 +47,7 @@ def test_summary_speedups(benchmark, heldout_selector, report):
                 out[(cluster, coll)] = totals
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     paper = {
         ("MRI", "allgather"): (1.063, 2.96),

@@ -19,7 +19,7 @@ PAPER = {
 }
 
 
-def test_table2_model_comparison(benchmark, random_split_sets, report):
+def test_table2_model_comparison(random_split_sets, report):
     train, test = random_split_sets
 
     def run():
@@ -29,7 +29,7 @@ def test_table2_model_comparison(benchmark, random_split_sets, report):
                 train, test.filter(collective=coll), coll, tune=True)
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = [f"{'collective':<12} {'family':<14} {'paper':>7} "
              f"{'measured':>9}"]

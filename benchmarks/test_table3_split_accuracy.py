@@ -17,7 +17,7 @@ PAPER = {
 }
 
 
-def test_table3_split_accuracy(benchmark, dataset, report):
+def test_table3_split_accuracy(dataset, report):
     def run():
         out = {"allgather": {}, "alltoall": {}}
         for method, kwargs in (("random", {"seed": 0}), ("cluster", {}),
@@ -29,7 +29,7 @@ def test_table3_split_accuracy(benchmark, dataset, report):
                     test.filter(collective=coll))
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     lines = [f"{'collective':<12} {'split':<9} {'paper':>7} "
              f"{'measured':>9}"]

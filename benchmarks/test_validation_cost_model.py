@@ -17,8 +17,8 @@ both paths name the same fastest algorithm in > 70% of configurations.
 from repro.validation import validate
 
 
-def test_validation_cost_model(benchmark, report):
-    result = benchmark.pedantic(validate, rounds=1, iterations=1)
+def test_validation_cost_model(report):
+    result = validate()
 
     report("Calibration — analytic model vs discrete-event engine",
            result.summary_lines())

@@ -283,7 +283,12 @@ class GuardedSelector(AlgorithmSelector):
           or its call failed, goes through the scalar floor.
 
         A :class:`Machine` is built only for the scalar rungs that need
-        one: a remap, the scalar inner ``select`` and the floor.
+        one: a remap, the scalar inner ``select`` and the floor.  A
+        machine keeps every plan it prices, so the block holds one
+        machine at a time, and the remaps of the block's predictions,
+        which neither the breaker nor a counter sees (``_judge`` already
+        recorded them), are answered after the walk, grouped by job
+        shape.
         """
         n = len(msg_size)
         self._counters["queries"].inc(n)
@@ -292,14 +297,14 @@ class GuardedSelector(AlgorithmSelector):
         details = np.empty(n, dtype=object)
         details[:] = ""
         p64 = nodes * ppn
-        machines: dict[tuple[int, int], Machine] = {}
+        machine: Machine | None = None
 
         def rung_args(i: int) -> tuple[str, Machine, int, int]:
-            key = (int(nodes[i]), int(ppn[i]))
-            m = machines.get(key)
-            if m is None:
-                m = machines[key] = Machine(spec, key[0], key[1])
-            return collectives[i], m, int(msg_size[i]), int(p64[i])
+            nonlocal machine
+            shape = (int(nodes[i]), int(ppn[i]))
+            if machine is None or (machine.nodes, machine.ppn) != shape:
+                machine = Machine(spec, *shape)
+            return collectives[i], machine, int(msg_size[i]), int(p64[i])
 
         def put(i: int, d: GuardDecision) -> None:
             algorithms[i] = d.algorithm
@@ -323,6 +328,7 @@ class GuardedSelector(AlgorithmSelector):
 
         rows = np.flatnonzero(~ood)
         refused: list[int] = []
+        remapped: list[int] = []
         start = predicted = None
         for pos, i in enumerate(rows.tolist()):
             detail = self._breaker_refusal()
@@ -355,8 +361,11 @@ class GuardedSelector(AlgorithmSelector):
             if detail is None:
                 algorithms[i], actions[i] = prediction, ACTION_MODEL
             else:
-                collective, machine, msg, _ = rung_args(i)
-                put(i, self._remap(collective, machine, msg, detail))
+                remapped.append(i)
+                details[i] = detail
+        for i in sorted(remapped, key=lambda i: (nodes[i], ppn[i])):
+            collective, m, msg, _ = rung_args(i)
+            put(i, self._remap(collective, m, msg, details[i]))
         actions[refused] = ACTION_BREAKER
         self._counters["breaker_fallback"].inc(len(refused))
 
